@@ -1,0 +1,200 @@
+#include "blob/sim_cluster.hpp"
+
+#include <cassert>
+#include <stdexcept>
+
+#include "obs/recorder.hpp"
+
+namespace vmstorm::blob {
+
+namespace {
+[[noreturn]] void raise(const Status& st) {
+  throw std::runtime_error("blob::SimCluster: " + st.to_string());
+}
+}  // namespace
+
+SimCluster::SimCluster(sim::Engine& engine, net::Network& network,
+                       BlobStore& store,
+                       std::vector<net::NodeId> provider_nodes,
+                       std::vector<storage::Disk*> provider_disks,
+                       net::NodeId manager_node, SimClusterConfig cfg)
+    : engine_(&engine), network_(&network), store_(&store),
+      provider_nodes_(std::move(provider_nodes)),
+      provider_disks_(std::move(provider_disks)),
+      manager_node_(manager_node), cfg_(cfg) {
+  assert(provider_nodes_.size() == provider_disks_.size());
+  assert(provider_nodes_.size() == store_->config().providers);
+  if (obs::Recorder* rec = engine.recorder()) {
+    obs_locates_ = &rec->metrics.counter("blob.locates");
+    obs_fetches_ = &rec->metrics.counter("blob.fetches");
+    obs_fetched_bytes_ = &rec->metrics.counter("blob.fetched_bytes");
+    obs_commits_ = &rec->metrics.counter("blob.commits");
+    obs_chunk_pushes_ = &rec->metrics.counter("blob.chunk_pushes");
+    obs_clones_ = &rec->metrics.counter("blob.clones");
+    tracer_ = &rec->trace;
+  }
+}
+
+net::NodeId SimCluster::metadata_node_for(std::uint64_t salt) const {
+  return provider_nodes_[mix64(salt) % provider_nodes_.size()];
+}
+
+sim::Task<std::vector<ChunkLocation>> SimCluster::locate(
+    net::NodeId client, BlobId blob, Version version, ByteRange range) {
+  auto r = store_->locate(blob, version, range);
+  if (!r.is_ok()) raise(r.status());
+  if (obs_locates_) obs_locates_->add();
+  co_await network_->small_rpc(client, metadata_node_for(rpc_counter_++),
+                               cfg_.metadata_rpc_bytes, cfg_.metadata_rpc_bytes);
+  co_return std::move(r).value();
+}
+
+sim::Task<void> SimCluster::fetch(net::NodeId client, ChunkLocation loc,
+                                  Bytes offset, Bytes length) {
+  if (loc.is_hole() || length == 0) co_return;
+  if (obs_fetches_) obs_fetches_->add();
+  if (obs_fetched_bytes_) obs_fetched_bytes_->add(length);
+  // Fetch is a repository-hinted span: provider disk service underneath
+  // buckets as repo_disk, NIC time as net_transfer.
+  obs::Tracer* tr = tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
+  const std::uint64_t parent = engine_->current_span();
+  std::uint64_t span = 0;
+  if (tr) {
+    span = tr->new_span(parent);
+    engine_->set_current_span(span);
+  }
+  const double start = engine_->now_seconds();
+  storage::Disk& disk = disk_of(loc.provider);
+  // Provider-side work: read the chunk bytes (page-cache key = chunk key).
+  co_await network_->round_trip(client, node_of(loc.provider),
+                                cfg_.data_request_bytes, length,
+                                disk.read(loc.key, length));
+  if (tr) {
+    tr->complete_span(start, engine_->now_seconds() - start, client, "blob",
+                      "fetch", span, parent,
+                      {obs::TraceArg::str("bucket", "repo"),
+                       obs::TraceArg::uint("provider", loc.provider),
+                       obs::TraceArg::uint("bytes", length)});
+    engine_->set_current_span(parent);
+  }
+  (void)offset;
+}
+
+sim::Task<void> SimCluster::push_chunk(net::NodeId client, ProviderId provider,
+                                       ChunkKey key, Bytes length) {
+  obs::Tracer* tr = tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
+  const std::uint64_t parent = engine_->current_span();
+  std::uint64_t span = 0;
+  if (tr) {
+    span = tr->new_span(parent);
+    engine_->set_current_span(span);
+  }
+  const double start = engine_->now_seconds();
+  // Send the chunk, then wait only for write-back admission (BlobSeer's
+  // asynchronous write ACK); the platter flush proceeds in the background.
+  co_await network_->round_trip(client, node_of(provider),
+                                cfg_.data_request_bytes + length,
+                                /*response_bytes=*/64,
+                                disk_of(provider).write_async(length, key));
+  if (tr) {
+    tr->complete_span(start, engine_->now_seconds() - start, client, "blob",
+                      "push", span, parent,
+                      {obs::TraceArg::str("bucket", "repo"),
+                       obs::TraceArg::uint("provider", provider),
+                       obs::TraceArg::uint("bytes", length)});
+    engine_->set_current_span(parent);
+  }
+}
+
+sim::Task<Version> SimCluster::commit(net::NodeId client, BlobId blob,
+                                      Version base,
+                                      std::vector<ChunkWrite> writes) {
+  if (obs_commits_) obs_commits_->add();
+  obs::Tracer* tr = tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
+  const std::uint64_t parent = engine_->current_span();
+  std::uint64_t span = 0;
+  if (tr) {
+    span = tr->new_span(parent);
+    engine_->set_current_span(span);
+  }
+  const double commit_start = engine_->now_seconds();
+  // 1. Ticket + provider allocation from the version manager.
+  co_await network_->small_rpc(client, manager_node_, cfg_.metadata_rpc_bytes,
+                               cfg_.metadata_rpc_bytes);
+  // 2. Commit the real store (placement decided here) so we know where
+  //    each chunk landed; then charge the data pushes those placements
+  //    imply, all in parallel.
+  std::vector<Bytes> sizes;
+  std::vector<std::uint64_t> indices;
+  sizes.reserve(writes.size());
+  indices.reserve(writes.size());
+  for (const ChunkWrite& w : writes) {
+    sizes.push_back(w.payload.size());
+    indices.push_back(w.chunk_index);
+  }
+  auto committed = store_->commit_chunks_detailed(blob, base, std::move(writes));
+  if (!committed.is_ok()) raise(committed.status());
+  const Version version = committed->version;
+
+  std::vector<sim::Task<void>> pushes;
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    // Deduplicated chunks are already stored somewhere in the pool: no
+    // data push, only the metadata update below.
+    if (committed->deduplicated[i]) continue;
+    const ChunkKey key = committed->keys[i];
+    for (ProviderId p : store_->replicas_of(key)) {
+      if (obs_chunk_pushes_) obs_chunk_pushes_->add();
+      pushes.push_back(push_chunk(client, p, key, sizes[i]));
+    }
+  }
+  co_await sim::when_all(*engine_, std::move(pushes));
+
+  // 3. Metadata write (segment-tree path copies) to a metadata provider,
+  //    then publication at the version manager.
+  co_await network_->small_rpc(client, metadata_node_for(rpc_counter_++),
+                               cfg_.metadata_rpc_bytes, cfg_.metadata_rpc_bytes);
+  co_await network_->small_rpc(client, manager_node_, cfg_.metadata_rpc_bytes,
+                               cfg_.metadata_rpc_bytes);
+  if (tr) {
+    tr->complete_span(commit_start, engine_->now_seconds() - commit_start,
+                      client, "blob", "commit", span, parent,
+                      {obs::TraceArg::uint("blob", blob),
+                       obs::TraceArg::uint("version", version),
+                       obs::TraceArg::uint("chunks", indices.size())});
+    engine_->set_current_span(parent);
+  }
+  co_return version;
+}
+
+sim::Task<BlobId> SimCluster::clone(net::NodeId client, BlobId blob,
+                                    Version version) {
+  auto r = store_->clone(blob, version);
+  if (!r.is_ok()) raise(r.status());
+  if (obs_clones_) obs_clones_->add();
+  obs::Tracer* tr = tracer_ != nullptr && tracer_->enabled() ? tracer_ : nullptr;
+  const std::uint64_t parent = engine_->current_span();
+  std::uint64_t span = 0;
+  if (tr) {
+    span = tr->new_span(parent);
+    engine_->set_current_span(span);
+  }
+  const double start = engine_->now_seconds();
+  co_await network_->small_rpc(client, manager_node_, cfg_.metadata_rpc_bytes,
+                               cfg_.metadata_rpc_bytes);
+  if (tr) {
+    tr->complete_span(start, engine_->now_seconds() - start, client, "blob",
+                      "clone", span, parent,
+                      {obs::TraceArg::uint("src", blob)});
+    engine_->set_current_span(parent);
+  }
+  co_return r.value();
+}
+
+sim::Task<void> SimCluster::flush_all_disks() {
+  std::vector<sim::Task<void>> flushes;
+  flushes.reserve(provider_disks_.size());
+  for (storage::Disk* d : provider_disks_) flushes.push_back(d->flush());
+  co_await sim::when_all(*engine_, std::move(flushes));
+}
+
+}  // namespace vmstorm::blob

@@ -1,0 +1,57 @@
+// mmap-backed local mirror file (§4.2).
+//
+// "Whenever a VM image is opened for the first time, an initially empty
+// file of the same size is created on the local disk. ... the whole local
+// file is mmapped in the host's main memory", turning local reads and
+// writes into memory accesses and leaning on the kernel's asynchronous
+// write-back — the effect measured in Figure 6.
+#pragma once
+
+#include <cstddef>
+#include <memory>
+#include <span>
+#include <string>
+
+#include "common/status.hpp"
+#include "common/units.hpp"
+
+namespace vmstorm::mirror {
+
+class LocalMirrorFile {
+ public:
+  /// Creates (or opens, if it exists) a sparse file of exactly `size`
+  /// bytes at `path` and maps it read/write.
+  static Result<std::unique_ptr<LocalMirrorFile>> open(const std::string& path,
+                                                       Bytes size);
+
+  ~LocalMirrorFile();
+  LocalMirrorFile(const LocalMirrorFile&) = delete;
+  LocalMirrorFile& operator=(const LocalMirrorFile&) = delete;
+
+  std::span<std::byte> data() { return {map_, size_}; }
+  std::span<const std::byte> data() const { return {map_, size_}; }
+  Bytes size() const { return size_; }
+  const std::string& path() const { return path_; }
+
+  /// msync: force dirty pages to the file (used before close for
+  /// durability; the kernel flushes asynchronously otherwise).
+  Status sync();
+
+ private:
+  LocalMirrorFile(std::string path, int fd, std::byte* map, Bytes size)
+      : path_(std::move(path)), fd_(fd), map_(map), size_(size) {}
+
+  std::string path_;
+  int fd_ = -1;
+  std::byte* map_ = nullptr;
+  Bytes size_ = 0;
+};
+
+/// Sidecar metadata helpers: the local-modification manager's state is
+/// persisted next to the mirror file on close and restored on reopen.
+Status save_sidecar(const std::string& mirror_path, const std::string& blob);
+Result<std::string> load_sidecar(const std::string& mirror_path);
+bool sidecar_exists(const std::string& mirror_path);
+Status remove_sidecar(const std::string& mirror_path);
+
+}  // namespace vmstorm::mirror

@@ -1,0 +1,617 @@
+#include "obs/critpath.hpp"
+
+#include <algorithm>
+#include <charconv>
+#include <map>
+#include <set>
+#include <tuple>
+#include <utility>
+
+#include "common/table.hpp"
+#include "obs/json.hpp"
+
+namespace vmstorm::obs {
+
+namespace {
+
+constexpr const char* kBucketNames[kCritBucketCount] = {
+    "boot_init", "compute",    "local_disk", "metadata",
+    "net_transfer", "queue_wait", "repo_disk",
+};
+
+/// Ancestor hint propagated down the span DAG via the "bucket" span arg.
+enum class Hint { kNone = 0, kMetadata, kRepo };
+
+struct SpanInfo {
+  SpanId parent = 0;
+  Hint hint = Hint::kNone;
+};
+
+/// Root-row index + effective (nearest-ancestor) hint for a span.
+struct Resolved {
+  int row = -1;
+  Hint hint = Hint::kNone;
+};
+
+const TraceArg* find_arg(const TraceEvent& ev, std::string_view key) {
+  for (const TraceArg& a : ev.args) {
+    if (a.key == key) return &a;
+  }
+  return nullptr;
+}
+
+bool is_root_span(const TraceEvent& ev) {
+  if (ev.phase != 'X' || ev.id == 0 || ev.dur < 0) return false;
+  if (ev.cat == "vm") return ev.name == "boot" || ev.name == "resume";
+  return ev.cat == "cloud" && ev.name == "snapshot";
+}
+
+bool starts_with(const std::string& s, std::string_view prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+/// One clipped cost interval competing for critical-path time.
+struct Seg {
+  double t0 = 0;
+  double t1 = 0;
+  int priority = 0;  ///< 0 = resource wait, 1 = service, 2 = join filler
+  int bucket = 0;
+  std::size_t index = 0;  ///< recording order, final tie-break
+  const std::string* name = nullptr;
+  SpanId holder = 0;
+};
+
+/// Buckets a cost event given the effective hint of its span chain. Waits
+/// are queue time no matter the resource; service time splits by what the
+/// span chain says the work was for.
+void classify(const TraceEvent& ev, Hint hint, int* priority,
+              CritBucket* bucket) {
+  if (ev.cat == "wait") {
+    *bucket = CritBucket::kQueueWait;
+    *priority = ev.name == "sim.join" ? 2 : 0;
+    return;
+  }
+  *priority = 1;
+  if (hint == Hint::kMetadata) {
+    *bucket = CritBucket::kMetadata;
+  } else if (starts_with(ev.name, "net.")) {
+    *bucket = CritBucket::kNetTransfer;
+  } else if (hint == Hint::kRepo) {
+    *bucket = CritBucket::kRepoDisk;
+  } else if (ev.name == "disk" || starts_with(ev.name, "dfs.")) {
+    *bucket = CritBucket::kLocalDisk;
+  } else {
+    *bucket = CritBucket::kCompute;
+  }
+}
+
+/// Tiles row.[start, start+seconds) with `segs`, accumulating bucket totals
+/// and the coalesced winning-segment sequence. At any instant the winner is
+/// the live segment with the smallest (priority, bucket, index); gaps fall
+/// to `filler`.
+void sweep(CritRow* row, std::vector<Seg> segs, CritBucket filler) {
+  const double lo = row->start;
+  const double hi = row->start + row->seconds;
+  std::vector<double> bounds;
+  bounds.reserve(segs.size() * 2 + 2);
+  bounds.push_back(lo);
+  bounds.push_back(hi);
+  for (const Seg& s : segs) {
+    bounds.push_back(s.t0);
+    bounds.push_back(s.t1);
+  }
+  std::sort(bounds.begin(), bounds.end());
+  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+
+  const std::size_t nb = bounds.size();
+  std::vector<std::vector<const Seg*>> adds(nb), removes(nb);
+  std::sort(segs.begin(), segs.end(), [](const Seg& a, const Seg& b) {
+    return a.index < b.index;
+  });
+  for (const Seg& s : segs) {
+    const auto i0 = static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), s.t0) - bounds.begin());
+    const auto i1 = static_cast<std::size_t>(
+        std::lower_bound(bounds.begin(), bounds.end(), s.t1) - bounds.begin());
+    if (i0 >= i1) continue;
+    adds[i0].push_back(&s);
+    removes[i1].push_back(&s);
+  }
+
+  using Key = std::tuple<int, int, std::size_t>;
+  std::map<Key, const Seg*> active;
+  auto key_of = [](const Seg* s) {
+    return Key{s->priority, s->bucket, s->index};
+  };
+  for (std::size_t i = 0; i + 1 < nb; ++i) {
+    for (const Seg* s : removes[i]) active.erase(key_of(s));
+    for (const Seg* s : adds[i]) active.emplace(key_of(s), s);
+    const double width = bounds[i + 1] - bounds[i];
+    if (width <= 0) continue;
+    const Seg* win = active.empty() ? nullptr : active.begin()->second;
+    const CritBucket bucket =
+        win != nullptr ? static_cast<CritBucket>(win->bucket) : filler;
+    row->buckets[static_cast<std::size_t>(bucket)] += width;
+    static const std::string kNoName;
+    const std::string& name = win != nullptr ? *win->name : kNoName;
+    const SpanId holder = win != nullptr ? win->holder : 0;
+    if (!row->segments.empty()) {
+      CritSegment& last = row->segments.back();
+      if (last.bucket == bucket && last.name == name &&
+          last.holder == holder) {
+        last.seconds += width;
+        continue;
+      }
+    }
+    CritSegment seg;
+    seg.start = bounds[i];
+    seg.seconds = width;
+    seg.bucket = bucket;
+    seg.name = name;
+    seg.holder = holder;
+    row->segments.push_back(std::move(seg));
+  }
+}
+
+}  // namespace
+
+const char* crit_bucket_name(CritBucket b) {
+  return kBucketNames[static_cast<std::size_t>(b)];
+}
+
+CritReport analyze_critical_paths(const std::vector<TraceEvent>& events) {
+  CritReport report;
+
+  // Pass 1: span registry and root rows.
+  std::map<SpanId, SpanInfo> spans;
+  std::map<SpanId, int> root_row;
+  for (const TraceEvent& ev : events) {
+    if (ev.phase != 'X' || ev.id == 0) continue;
+    SpanInfo info;
+    info.parent = ev.parent;
+    if (const TraceArg* a = find_arg(ev, "bucket")) {
+      if (a->s == "metadata") info.hint = Hint::kMetadata;
+      if (a->s == "repo") info.hint = Hint::kRepo;
+    }
+    spans[ev.id] = info;
+    ++report.spans_seen;
+    if (!is_root_span(ev)) continue;
+    CritRow row;
+    row.kind = ev.name;
+    row.lane = ev.lane;
+    row.span = ev.id;
+    row.start = ev.ts;
+    row.seconds = ev.dur;
+    const TraceArg* inst = find_arg(ev, "instance");
+    row.instance = inst != nullptr ? inst->u : ev.lane;
+    root_row[ev.id] = static_cast<int>(report.rows.size());
+    report.rows.push_back(std::move(row));
+  }
+
+  // Pass 2: resolve each span to its root row and nearest-ancestor hint,
+  // memoized along parent chains (iterative to keep the stack shallow).
+  std::map<SpanId, Resolved> resolved;
+  auto resolve = [&](SpanId id) -> Resolved {
+    std::vector<SpanId> chain;
+    Resolved res;
+    SpanId cur = id;
+    while (cur != 0) {
+      auto memo = resolved.find(cur);
+      if (memo != resolved.end()) {
+        res = memo->second;
+        break;
+      }
+      chain.push_back(cur);
+      auto it = spans.find(cur);
+      if (it == spans.end()) break;  // unknown span: no root, no hint
+      auto root = root_row.find(cur);
+      if (root != root_row.end()) {
+        res.row = root->second;
+        res.hint = it->second.hint;
+        break;
+      }
+      cur = it->second.parent;
+    }
+    // Unwind: fill hints nearest-first and memoize every visited span.
+    for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
+      auto it = spans.find(*rit);
+      if (it != spans.end() && it->second.hint != Hint::kNone) {
+        res.hint = it->second.hint;
+      }
+      resolved[*rit] = res;
+    }
+    return res;
+  };
+
+  // Pass 3: clip cost events into their root's window.
+  std::vector<std::vector<Seg>> per_row(report.rows.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& ev = events[i];
+    if (ev.phase != 'X' || ev.dur <= 0) continue;
+    if (ev.cat != "wait" && ev.cat != "svc") continue;
+    if (ev.span == 0) continue;
+    ++report.cost_events;
+    const Resolved res = resolve(ev.span);
+    if (res.row < 0) continue;  // background or phase-level work
+    CritRow& row = report.rows[static_cast<std::size_t>(res.row)];
+    Seg seg;
+    seg.t0 = std::max(ev.ts, row.start);
+    seg.t1 = std::min(ev.ts + ev.dur, row.start + row.seconds);
+    if (seg.t1 <= seg.t0) continue;
+    seg.index = i;
+    seg.name = &ev.name;
+    int priority = 0;
+    CritBucket bucket = CritBucket::kCompute;
+    classify(ev, res.hint, &priority, &bucket);
+    seg.priority = priority;
+    seg.bucket = static_cast<int>(bucket);
+    if (const TraceArg* holder = find_arg(ev, "holder")) seg.holder = holder->u;
+    per_row[static_cast<std::size_t>(res.row)].push_back(seg);
+  }
+
+  // Pass 4: tile each root. Uncovered time in a boot/resume is the guest
+  // actually booting; elsewhere it is generic compute.
+  for (std::size_t r = 0; r < report.rows.size(); ++r) {
+    CritRow& row = report.rows[r];
+    const CritBucket filler = row.kind == "snapshot" ? CritBucket::kCompute
+                                                     : CritBucket::kBootInit;
+    sweep(&row, std::move(per_row[r]), filler);
+  }
+
+  std::sort(report.rows.begin(), report.rows.end(),
+            [](const CritRow& a, const CritRow& b) {
+              return std::tie(a.kind, a.instance, a.start, a.span) <
+                     std::tie(b.kind, b.instance, b.start, b.span);
+            });
+  return report;
+}
+
+namespace {
+
+/// Per-kind aggregate used by both the JSON summary and the table.
+struct KindStats {
+  std::uint64_t count = 0;
+  double total = 0;
+  double max = 0;
+  std::array<double, kCritBucketCount> buckets{};
+};
+
+std::map<std::string, KindStats> summarize(const CritReport& report) {
+  std::map<std::string, KindStats> by_kind;
+  for (const CritRow& row : report.rows) {
+    KindStats& ks = by_kind[row.kind];
+    ++ks.count;
+    ks.total += row.seconds;
+    ks.max = std::max(ks.max, row.seconds);
+    for (std::size_t b = 0; b < kCritBucketCount; ++b) {
+      ks.buckets[b] += row.buckets[b];
+    }
+  }
+  return by_kind;
+}
+
+}  // namespace
+
+std::string attribution_json(const CritReport& report) {
+  JsonWriter w;
+  w.begin_object();
+  w.key("buckets").begin_array();
+  for (const char* name : kBucketNames) w.value(name);
+  w.end_array();
+  w.key("rows").begin_array();
+  for (const CritRow& row : report.rows) {
+    w.begin_object();
+    w.key("kind").value(row.kind);
+    w.key("instance").value(row.instance);
+    w.key("lane").value(static_cast<std::uint64_t>(row.lane));
+    w.key("span").value(row.span);
+    w.key("start").value(row.start);
+    w.key("seconds").value(row.seconds);
+    w.key("attribution").begin_object();
+    for (std::size_t b = 0; b < kCritBucketCount; ++b) {
+      w.key(kBucketNames[b]).value(row.buckets[b]);
+    }
+    w.end_object();
+    w.end_object();
+  }
+  w.end_array();
+  w.key("summary").begin_object();
+  for (const auto& [kind, ks] : summarize(report)) {
+    w.key(kind).begin_object();
+    w.key("count").value(ks.count);
+    w.key("mean_seconds")
+        .value(ks.count > 0 ? ks.total / static_cast<double>(ks.count) : 0.0);
+    w.key("max_seconds").value(ks.max);
+    w.key("buckets").begin_object();
+    for (std::size_t b = 0; b < kCritBucketCount; ++b) {
+      w.key(kBucketNames[b]).value(ks.buckets[b]);
+    }
+    w.end_object();
+    w.end_object();
+  }
+  w.end_object();
+  w.end_object();
+  return w.take();
+}
+
+std::string attribution_table(const CritReport& report) {
+  std::string out;
+  if (report.rows.empty()) {
+    return "critpath: no root spans (vm/boot, vm/resume, cloud/snapshot) "
+           "found in trace\n";
+  }
+
+  {
+    std::vector<std::string> header = {"kind", "count", "mean_s", "max_s"};
+    for (const char* name : kBucketNames) header.emplace_back(name);
+    Table t(header);
+    for (const auto& [kind, ks] : summarize(report)) {
+      std::vector<std::string> cells = {
+          kind, std::to_string(ks.count),
+          Table::num(ks.total / static_cast<double>(ks.count), 3),
+          Table::num(ks.max, 3)};
+      for (std::size_t b = 0; b < kCritBucketCount; ++b) {
+        cells.push_back(Table::num(ks.buckets[b], 3));
+      }
+      t.add_row(cells);
+    }
+    out += "Critical-path attribution by kind (seconds summed over "
+           "instances)\n";
+    out += t.to_string();
+  }
+
+  {
+    std::vector<std::string> header = {"kind", "inst", "lane", "seconds"};
+    for (const char* name : kBucketNames) header.emplace_back(name);
+    Table t(header);
+    for (const CritRow& row : report.rows) {
+      std::vector<std::string> cells = {
+          row.kind, std::to_string(row.instance), std::to_string(row.lane),
+          Table::num(row.seconds, 3)};
+      for (std::size_t b = 0; b < kCritBucketCount; ++b) {
+        cells.push_back(Table::num(row.buckets[b], 3));
+      }
+      t.add_row(cells);
+    }
+    out += "\nPer-instance breakdown\n";
+    out += t.to_string();
+  }
+
+  const CritRow* slow = &report.rows.front();
+  for (const CritRow& row : report.rows) {
+    if (row.seconds > slow->seconds) slow = &row;
+  }
+  std::vector<const CritSegment*> segs;
+  segs.reserve(slow->segments.size());
+  for (const CritSegment& s : slow->segments) segs.push_back(&s);
+  std::sort(segs.begin(), segs.end(),
+            [](const CritSegment* a, const CritSegment* b) {
+              if (a->seconds != b->seconds) return a->seconds > b->seconds;
+              return a->start < b->start;
+            });
+  if (segs.size() > 8) segs.resize(8);
+  Table t({"start_s", "seconds", "bucket", "event", "holder"});
+  for (const CritSegment* s : segs) {
+    t.add_row({Table::num(s->start, 4),
+               Table::num(s->seconds, 4), crit_bucket_name(s->bucket),
+               s->name.empty() ? "(uncovered)" : s->name,
+               s->holder != 0 ? std::to_string(s->holder) : "-"});
+  }
+  out += "\nSlowest instance: " + slow->kind + " #" +
+         std::to_string(slow->instance) + " (" +
+         Table::num(slow->seconds, 3) +
+         " s) — largest critical-path segments\n";
+  out += t.to_string();
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// JSONL parsing (the inverse of Tracer::jsonl()).
+
+namespace {
+
+/// Minimal JSON cursor for one jsonl line. Only the shapes the tracer emits
+/// are fully materialized (flat object, string/number scalars, one nested
+/// "args" object); anything else is skipped structurally.
+class LineParser {
+ public:
+  explicit LineParser(std::string_view line)
+      : start_(line.data()), p_(line.data()), end_(line.data() + line.size()) {}
+
+  Status parse_event(TraceEvent* ev) {
+    skip_ws();
+    if (!consume('{')) return fail("expected '{'");
+    bool first = true;
+    while (true) {
+      skip_ws();
+      if (consume('}')) break;
+      if (!first && !consume(',')) return fail("expected ',' or '}'");
+      first = false;
+      skip_ws();
+      std::string key;
+      VMSTORM_RETURN_IF_ERROR(parse_string(&key));
+      skip_ws();
+      if (!consume(':')) return fail("expected ':'");
+      skip_ws();
+      VMSTORM_RETURN_IF_ERROR(parse_field(key, ev));
+    }
+    skip_ws();
+    if (p_ != end_) return fail("trailing bytes after event object");
+    return Status::ok();
+  }
+
+ private:
+  Status fail(const std::string& msg) const {
+    return invalid_argument("trace jsonl: " + msg + " at offset " +
+                            std::to_string(p_ - start_));
+  }
+
+  void skip_ws() {
+    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t')) ++p_;
+  }
+  bool consume(char c) {
+    if (p_ != end_ && *p_ == c) {
+      ++p_;
+      return true;
+    }
+    return false;
+  }
+
+  Status parse_string(std::string* out) {
+    if (!consume('"')) return fail("expected string");
+    out->clear();
+    while (p_ != end_ && *p_ != '"') {
+      char c = *p_++;
+      if (c != '\\') {
+        *out += c;
+        continue;
+      }
+      if (p_ == end_) return fail("dangling escape");
+      char e = *p_++;
+      switch (e) {
+        case '"': *out += '"'; break;
+        case '\\': *out += '\\'; break;
+        case '/': *out += '/'; break;
+        case 'b': *out += '\b'; break;
+        case 'f': *out += '\f'; break;
+        case 'n': *out += '\n'; break;
+        case 'r': *out += '\r'; break;
+        case 't': *out += '\t'; break;
+        case 'u': {
+          if (end_ - p_ < 4) return fail("short \\u escape");
+          unsigned code = 0;
+          auto [ptr, ec] = std::from_chars(p_, p_ + 4, code, 16);
+          if (ec != std::errc() || ptr != p_ + 4) {
+            return fail("bad \\u escape");
+          }
+          p_ += 4;
+          if (code > 0x7f) return fail("non-ASCII \\u escape unsupported");
+          *out += static_cast<char>(code);
+          break;
+        }
+        default: return fail("unknown escape");
+      }
+    }
+    if (!consume('"')) return fail("unterminated string");
+    return Status::ok();
+  }
+
+  /// Numbers are captured as a token; integer-looking tokens additionally
+  /// yield an exact uint64 so span ids survive the round trip.
+  Status parse_number(double* d, std::uint64_t* u, bool* is_uint) {
+    const char* start = p_;
+    while (p_ != end_ &&
+           (*p_ == '-' || *p_ == '+' || *p_ == '.' || *p_ == 'e' ||
+            *p_ == 'E' || (*p_ >= '0' && *p_ <= '9'))) {
+      ++p_;
+    }
+    if (p_ == start) return fail("expected number");
+    const std::string_view tok(start, static_cast<std::size_t>(p_ - start));
+    *is_uint = tok.find_first_not_of("0123456789") == std::string_view::npos;
+    if (*is_uint) {
+      auto [ptr, ec] = std::from_chars(start, p_, *u);
+      if (ec != std::errc() || ptr != p_) return fail("bad integer");
+      *d = static_cast<double>(*u);
+      return Status::ok();
+    }
+    auto [ptr, ec] = std::from_chars(start, p_, *d);
+    if (ec != std::errc() || ptr != p_) return fail("bad number");
+    *u = 0;
+    return Status::ok();
+  }
+
+  Status parse_field(const std::string& key, TraceEvent* ev) {
+    if (key == "name" || key == "cat" || key == "ph") {
+      std::string s;
+      VMSTORM_RETURN_IF_ERROR(parse_string(&s));
+      if (key == "name") {
+        ev->name = std::move(s);
+      } else if (key == "cat") {
+        ev->cat = std::move(s);
+      } else {
+        if (s.size() != 1) return fail("ph must be one character");
+        ev->phase = s[0];
+      }
+      return Status::ok();
+    }
+    if (key == "args") return parse_args(ev);
+    double d = 0;
+    std::uint64_t u = 0;
+    bool is_uint = false;
+    VMSTORM_RETURN_IF_ERROR(parse_number(&d, &u, &is_uint));
+    if (key == "ts") {
+      ev->ts = d;
+    } else if (key == "dur") {
+      ev->dur = d;
+    } else if (key == "lane") {
+      ev->lane = static_cast<std::uint32_t>(u);
+    } else if (key == "id") {
+      ev->id = u;
+    } else if (key == "parent") {
+      ev->parent = u;
+    } else if (key == "span") {
+      ev->span = u;
+    }
+    // Unknown numeric keys (e.g. chrome-only fields) are ignored.
+    return Status::ok();
+  }
+
+  Status parse_args(TraceEvent* ev) {
+    if (!consume('{')) return fail("args must be an object");
+    bool first = true;
+    while (true) {
+      skip_ws();
+      if (consume('}')) return Status::ok();
+      if (!first && !consume(',')) return fail("expected ',' or '}' in args");
+      first = false;
+      skip_ws();
+      std::string key;
+      VMSTORM_RETURN_IF_ERROR(parse_string(&key));
+      skip_ws();
+      if (!consume(':')) return fail("expected ':' in args");
+      skip_ws();
+      if (p_ != end_ && *p_ == '"') {
+        std::string s;
+        VMSTORM_RETURN_IF_ERROR(parse_string(&s));
+        ev->args.push_back(TraceArg::str(std::move(key), std::move(s)));
+        continue;
+      }
+      double d = 0;
+      std::uint64_t u = 0;
+      bool is_uint = false;
+      VMSTORM_RETURN_IF_ERROR(parse_number(&d, &u, &is_uint));
+      ev->args.push_back(is_uint ? TraceArg::uint(std::move(key), u)
+                                 : TraceArg::num(std::move(key), d));
+    }
+  }
+
+  const char* start_;
+  const char* p_;
+  const char* end_;
+};
+
+}  // namespace
+
+Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text) {
+  std::vector<TraceEvent> events;
+  std::size_t line_no = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) nl = text.size();
+    const std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    ++line_no;
+    if (line.empty()) continue;
+    TraceEvent ev;
+    Status st = LineParser(line).parse_event(&ev);
+    if (!st.is_ok()) {
+      return Status(st.code(), "line " + std::to_string(line_no) + ": " +
+                                   st.message());
+    }
+    events.push_back(std::move(ev));
+  }
+  return events;
+}
+
+}  // namespace vmstorm::obs

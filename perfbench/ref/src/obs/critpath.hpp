@@ -1,0 +1,97 @@
+// Critical-path analyzer over the span DAG recorded by obs::Tracer.
+//
+// The tracer's events carry causal structure: span events ('X' with id /
+// parent) form a DAG rooted at per-instance VM boot / resume / snapshot
+// spans, and cost events ('X' with a `span` attribution and cat "wait" or
+// "svc") are the leaf intervals where simulated time is actually spent —
+// disk platter service, NIC transmission, queueing behind another
+// instance's request, metadata RPCs. This analyzer tiles each root span's
+// [start, end) with the recorded cost intervals and attributes every
+// elementary slice of wall time to exactly one bucket, so the per-bucket
+// totals sum to the instance's measured deployment / snapshot time.
+//
+// Overlap resolution is deterministic: at any instant the winning interval
+// is chosen by (kind priority, bucket rank, recording order) where genuine
+// waits outrank service (a queued request costs queue time even though the
+// server is busy on someone else's behalf) and join-waits rank last (a
+// parent joining children is idle filler, not a resource queue). Uncovered
+// time falls to `boot_init` for boot/resume roots (guest CPU work between
+// I/O) and `compute` otherwise.
+//
+// Everything here is pure post-processing: same trace in, byte-identical
+// attribution JSON out.
+#pragma once
+
+#include <array>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/status.hpp"
+#include "obs/trace.hpp"
+
+namespace vmstorm::obs {
+
+/// Where a slice of critical-path time went. Order is the schema order of
+/// the `buckets` array in the attribution JSON.
+enum class CritBucket {
+  kBootInit = 0,   ///< uncovered time inside a boot/resume root (guest work)
+  kCompute,        ///< uncovered time in other roots / unclassified service
+  kLocalDisk,      ///< disk service on the instance's own node
+  kMetadata,       ///< RPC round-trips under a metadata-hinted span
+  kNetTransfer,    ///< NIC service, wire latency, connection setup
+  kQueueWait,      ///< blocked behind another holder (disk FIFO, semaphore,
+                   ///< dirty-page budget, inflight chunk, join filler)
+  kRepoDisk,       ///< disk/DFS service under a repository-hinted span
+};
+
+inline constexpr std::size_t kCritBucketCount = 7;
+
+const char* crit_bucket_name(CritBucket b);
+
+/// One coalesced tile of a root span's critical path.
+struct CritSegment {
+  double start = 0;
+  double seconds = 0;
+  CritBucket bucket = CritBucket::kCompute;
+  std::string name;        ///< winning event name ("" for filler time)
+  SpanId holder = 0;       ///< wait tiles: span that held the resource
+};
+
+/// Per-root attribution: one VM instance deployment (kind "boot"),
+/// resumed instance ("resume"), or snapshot ("snapshot").
+struct CritRow {
+  std::string kind;
+  std::uint64_t instance = 0;
+  std::uint32_t lane = 0;
+  SpanId span = 0;
+  double start = 0;
+  double seconds = 0;
+  std::array<double, kCritBucketCount> buckets{};
+  std::vector<CritSegment> segments;
+};
+
+struct CritReport {
+  std::vector<CritRow> rows;
+  std::uint64_t spans_seen = 0;
+  std::uint64_t cost_events = 0;
+};
+
+/// Walks the span DAG and tiles every root span with cost intervals.
+CritReport analyze_critical_paths(const std::vector<TraceEvent>& events);
+
+/// Deterministic JSON for the bench artifact `attribution` section
+/// (schema vmstorm-bench-v2): bucket names, per-row breakdowns, and a
+/// per-kind summary. Buckets of each row sum to its `seconds`.
+std::string attribution_json(const CritReport& report);
+
+/// Human-readable tables: per-kind summary, per-instance breakdown, and
+/// the slowest instance's largest critical-path segments.
+std::string attribution_table(const CritReport& report);
+
+/// Parses a tracer jsonl() export back into events, so `vmstormctl
+/// critpath` reproduces in-process attribution byte-for-byte (numbers are
+/// round-tripped through shortest-form representation on both sides).
+Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text);
+
+}  // namespace vmstorm::obs

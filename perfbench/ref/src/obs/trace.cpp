@@ -1,0 +1,304 @@
+#include "obs/trace.hpp"
+
+#include <algorithm>
+
+#include "obs/json.hpp"
+#include "obs/selfprof.hpp"
+
+namespace vmstorm::obs {
+
+namespace {
+
+/// splitmix64 finalizer: the sampling decision must be a high-quality pure
+/// function of (seed, span id) so consecutive ids don't correlate.
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
+TraceArg TraceArg::str(std::string key, std::string value) {
+  TraceArg a;
+  a.key = std::move(key);
+  a.kind = Kind::kString;
+  a.s = std::move(value);
+  return a;
+}
+
+TraceArg TraceArg::uint(std::string key, std::uint64_t value) {
+  TraceArg a;
+  a.key = std::move(key);
+  a.kind = Kind::kUint;
+  a.u = value;
+  return a;
+}
+
+TraceArg TraceArg::num(std::string key, double value) {
+  TraceArg a;
+  a.key = std::move(key);
+  a.kind = Kind::kDouble;
+  a.d = value;
+  return a;
+}
+
+void Tracer::grow_ring() {
+  // Amortized doubling toward the cap, without push_back/reserve: the ring
+  // is on the engine's hot path, where vmlint's hot-path-alloc rule keeps
+  // per-event allocation calls out. Slot construction + move + swap is the
+  // sanctioned growth idiom (O(1) amortized, zero steady-state allocation).
+  std::size_t next = ring_.empty() ? 64 : ring_.size() * 2;
+  if (next > capacity_) next = capacity_;
+  std::vector<TraceEvent> bigger(next);
+  std::move(ring_.begin(), ring_.end(), bigger.begin());
+  ring_.swap(bigger);
+}
+
+TraceEvent& Tracer::push(double ts, double dur, char phase, std::uint32_t lane,
+                         std::string_view cat, std::string_view name,
+                         std::vector<TraceArg> args) {
+  const double t0 = profiler_ != nullptr ? SelfProfiler::wall_now() : 0.0;
+  const std::size_t slot = static_cast<std::size_t>(count_ % capacity_);
+  if (slot >= ring_.size()) grow_ring();
+  if (count_ >= capacity_) ++dropped_ring_;  // overwriting the oldest event
+  TraceEvent& ev = ring_[slot];
+  ev.ts = ts;
+  ev.dur = dur;
+  ev.phase = phase;
+  ev.lane = lane;
+  ev.id = 0;
+  ev.parent = 0;
+  ev.span = 0;
+  ev.cat = cat;
+  ev.name = name;
+  ev.args = std::move(args);
+  ++count_;
+  if (profiler_ != nullptr) {
+    profiler_->charge(SelfProfiler::kTracer, SelfProfiler::wall_now() - t0);
+  }
+  return ev;
+}
+
+SpanId Tracer::new_span(SpanId parent) {
+  const SpanId id = ++last_id_;
+  if (sampling_active_) {
+    ensure_sampled_slot(id);
+    const bool keep =
+        parent == 0
+            ? (static_cast<double>(mix64(sample_seed_ ^ id) >> 11) *
+               0x1.0p-53) < sample_rate_
+            : span_sampled(parent);
+    sampled_bits_[id] = keep ? 1 : 0;
+  }
+  return id;
+}
+
+void Tracer::ensure_sampled_slot(SpanId id) {
+  if (id < sampled_bits_.size()) return;
+  std::size_t next = sampled_bits_.empty() ? 1024 : sampled_bits_.size();
+  while (next <= id) next *= 2;
+  // Same growth idiom as the ring (new_span is hot via flow_begin). Absent
+  // ids default to "kept", matching span_sampled().
+  std::vector<std::uint8_t> bigger(next, 1);
+  std::copy(sampled_bits_.begin(), sampled_bits_.end(), bigger.begin());
+  sampled_bits_.swap(bigger);
+}
+
+void Tracer::set_ring_capacity(std::size_t capacity) {
+  capacity_ = capacity == 0 ? 1 : capacity;
+  count_ = 0;
+  dropped_ring_ = 0;
+  std::vector<TraceEvent> empty;
+  ring_.swap(empty);
+}
+
+void Tracer::set_sampling(double rate, std::uint64_t seed) {
+  sample_rate_ = std::clamp(rate, 0.0, 1.0);
+  sample_seed_ = seed;
+  sampling_active_ = sample_rate_ < 1.0;
+  if (!sampling_active_) {
+    std::vector<std::uint8_t> empty;
+    sampled_bits_.swap(empty);
+  }
+}
+
+void Tracer::complete(double ts, double dur, std::uint32_t lane,
+                      std::string_view cat, std::string_view name,
+                      std::vector<TraceArg> args) {
+  if (!enabled_) return;
+  push(ts, dur, 'X', lane, cat, name, std::move(args));
+}
+
+void Tracer::complete_span(double ts, double dur, std::uint32_t lane,
+                           std::string_view cat, std::string_view name,
+                           SpanId id, SpanId parent,
+                           std::vector<TraceArg> args) {
+  if (!enabled_) return;
+  if (!span_sampled(id)) {
+    ++dropped_sampling_;
+    return;
+  }
+  TraceEvent& ev = push(ts, dur, 'X', lane, cat, name, std::move(args));
+  ev.id = id;
+  ev.parent = parent;
+}
+
+void Tracer::complete_in(double ts, double dur, std::uint32_t lane,
+                         std::string_view cat, std::string_view name,
+                         SpanId span, std::vector<TraceArg> args) {
+  if (!enabled_) return;
+  if (span != 0 && !span_sampled(span)) {
+    ++dropped_sampling_;
+    return;
+  }
+  TraceEvent& ev = push(ts, dur, 'X', lane, cat, name, std::move(args));
+  ev.span = span;
+}
+
+void Tracer::begin(double ts, std::uint32_t lane, std::string_view cat,
+                   std::string_view name, std::vector<TraceArg> args) {
+  if (!enabled_) return;
+  ++begin_depth_[lane];
+  push(ts, -1, 'B', lane, cat, name, std::move(args));
+}
+
+void Tracer::end(double ts, std::uint32_t lane, std::string_view cat,
+                 std::string_view name) {
+  if (!enabled_) return;
+  auto it = begin_depth_.find(lane);
+  if (it == begin_depth_.end() || it->second == 0) {
+    // Unbalanced end: emitting it would produce a malformed Chrome trace, so
+    // count the error and drop the event. Surfaced as trace.dropped_stray_end
+    // (and the legacy trace.pairing_errors gauge); the first offender's lane
+    // is kept so the trace.first_stray_lane gauge can name the culprit.
+    if (!has_stray_end_) {
+      has_stray_end_ = true;
+      first_stray_lane_ = lane;
+    }
+    ++pairing_errors_;
+    return;
+  }
+  --it->second;
+  push(ts, -1, 'E', lane, cat, name, {});
+}
+
+void Tracer::instant(double ts, std::uint32_t lane, std::string_view cat,
+                     std::string_view name, std::vector<TraceArg> args) {
+  if (!enabled_) return;
+  push(ts, -1, 'i', lane, cat, name, std::move(args));
+}
+
+SpanId Tracer::flow_begin(double ts, std::uint32_t lane, std::string_view name,
+                          SpanId owner_span) {
+  if (!enabled_) return 0;
+  if (owner_span != 0 && !span_sampled(owner_span)) {
+    // The waiter's span tree is sampled out; both arrow halves vanish with
+    // it (flow_end(0) is a no-op), keeping the export self-consistent.
+    ++dropped_sampling_;
+    return 0;
+  }
+  const SpanId id = new_span(owner_span);
+  push(ts, -1, 's', lane, "flow", name, {}).id = id;
+  return id;
+}
+
+void Tracer::flow_end(double ts, std::uint32_t lane, std::string_view name,
+                      SpanId id) {
+  if (!enabled_ || id == 0) return;
+  push(ts, -1, 'f', lane, "flow", name, {}).id = id;
+}
+
+std::uint64_t Tracer::open_begins() const {
+  std::uint64_t n = 0;
+  for (const auto& [lane, depth] : begin_depth_) n += depth;
+  return n;
+}
+
+void Tracer::clear() {
+  std::vector<TraceEvent> empty;
+  ring_.swap(empty);
+  count_ = 0;
+  dropped_ring_ = 0;
+  dropped_sampling_ = 0;
+  std::vector<std::uint8_t> no_bits;
+  sampled_bits_.swap(no_bits);
+  begin_depth_.clear();
+  pairing_errors_ = 0;
+  has_stray_end_ = false;
+  first_stray_lane_ = 0;
+  last_id_ = 0;
+}
+
+std::vector<TraceEvent> Tracer::events() const {
+  std::vector<TraceEvent> out(size());
+  std::size_t i = 0;
+  for_each_retained([&](const TraceEvent& ev) { out[i++] = ev; });
+  return out;
+}
+
+namespace {
+
+void write_event(JsonWriter& w, const TraceEvent& ev, bool chrome) {
+  w.begin_object();
+  w.key("name").value(ev.name);
+  w.key("cat").value(ev.cat);
+  w.key("ph").value(std::string_view(&ev.phase, 1));
+  if (chrome) {
+    // Chrome expects microseconds; simulated seconds scale cleanly.
+    w.key("ts").value(ev.ts * 1e6);
+    if (ev.phase == 'X') w.key("dur").value(ev.dur * 1e6);
+    w.key("pid").value(std::uint64_t{0});
+    w.key("tid").value(static_cast<std::uint64_t>(ev.lane));
+  } else {
+    w.key("ts").value(ev.ts);
+    if (ev.phase == 'X') w.key("dur").value(ev.dur);
+    w.key("lane").value(static_cast<std::uint64_t>(ev.lane));
+  }
+  if (ev.id != 0) w.key("id").value(ev.id);
+  if (ev.parent != 0) w.key("parent").value(ev.parent);
+  if (ev.span != 0) w.key("span").value(ev.span);
+  // Bind the arrow head to the enclosing slice (classic flow semantics).
+  if (chrome && ev.phase == 'f') w.key("bp").value(std::string_view("e"));
+  if (!ev.args.empty()) {
+    w.key("args").begin_object();
+    for (const TraceArg& a : ev.args) {
+      w.key(a.key);
+      switch (a.kind) {
+        case TraceArg::Kind::kString: w.value(a.s); break;
+        case TraceArg::Kind::kUint: w.value(a.u); break;
+        case TraceArg::Kind::kDouble: w.value(a.d); break;
+      }
+    }
+    w.end_object();
+  }
+  w.end_object();
+}
+
+}  // namespace
+
+std::string Tracer::jsonl() const {
+  std::string out;
+  for_each_retained([&out](const TraceEvent& ev) {
+    JsonWriter w;
+    write_event(w, ev, /*chrome=*/false);
+    out += w.str();
+    out += '\n';
+  });
+  return out;
+}
+
+std::string Tracer::chrome_json() const {
+  JsonWriter w;
+  w.begin_object();
+  w.key("displayTimeUnit").value("ms");
+  w.key("traceEvents").begin_array();
+  for_each_retained(
+      [&w](const TraceEvent& ev) { write_event(w, ev, /*chrome=*/true); });
+  w.end_array();
+  w.end_object();
+  return w.take();
+}
+
+}  // namespace vmstorm::obs

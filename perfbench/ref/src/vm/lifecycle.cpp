@@ -1,0 +1,47 @@
+#include "vm/lifecycle.hpp"
+
+#include "sim/causal.hpp"
+
+namespace vmstorm::vm {
+
+sim::Task<void> run_boot(sim::Engine& engine, VmDisk& disk,
+                         const BootTrace& trace, Rng rng, BootParams params,
+                         BootResult* result) {
+  co_await engine.sleep_seconds(rng.exponential(params.start_skew_seconds));
+  result->started = engine.now_seconds();
+  // Root span for this instance: the critical-path analyzer attributes
+  // everything inside [started, finished] against it.
+  obs::Tracer* tr = sim::live_tracer(engine);
+  const std::uint64_t parent = engine.current_span();
+  std::uint64_t span = 0;
+  if (tr) {
+    span = tr->new_span(parent);
+    engine.set_current_span(span);
+  }
+  for (const BootOp& op : trace.ops()) {
+    switch (op.kind) {
+      case BootOp::Kind::kRead:
+        co_await disk.read(op.offset, op.length);
+        break;
+      case BootOp::Kind::kWrite:
+        co_await disk.write(op.offset, op.length);
+        break;
+      case BootOp::Kind::kCpu: {
+        const double jitter =
+            1.0 - params.cpu_jitter + 2.0 * params.cpu_jitter * rng.uniform_double();
+        co_await engine.sleep(
+            static_cast<sim::SimTime>(static_cast<double>(op.cpu) * jitter));
+        break;
+      }
+    }
+  }
+  result->finished = engine.now_seconds();
+  if (tr) {
+    tr->complete_span(result->started, result->finished - result->started,
+                      params.trace_lane, "vm", params.trace_kind, span, parent,
+                      {obs::TraceArg::uint("instance", params.trace_instance)});
+    engine.set_current_span(parent);
+  }
+}
+
+}  // namespace vmstorm::vm
