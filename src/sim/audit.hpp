@@ -1,13 +1,13 @@
 // Runtime invariant auditing for the simulator.
 //
-// vmlint proves what it can statically (no discarded Tasks, no unguarded
-// waiter schedules); the Auditor checks what only a running simulation can
-// show: that every wakeup delivered to a coroutine finds its waiter alive,
-// that every dropped wakeup really had a dead waiter behind it, and that
-// simulated time never moves backwards. The engine and the wake paths in
-// sim/causal.hpp call these hooks; with no auditor attached (the default)
-// every hook site is a null-pointer check, so production simulations pay
-// one branch per event.
+// Engine::schedule_at's signature (a WaitRef, never a raw handle) proves
+// statically that every waiter wakeup is guarded and registered here; the
+// Auditor checks what only a running simulation can show: that every wakeup
+// delivered to a coroutine finds its waiter alive, that every dropped wakeup
+// really had a dead waiter behind it, and that simulated time never moves
+// backwards. With no auditor attached (the default) every hook site in the
+// engine is a null-pointer check, so production simulations pay one branch
+// per event.
 //
 // The fuzz harness (tests/fuzz/) attaches an InvariantAuditor while driving
 // randomized spawn/cancel/wakeup interleavings; shrunk failures become
@@ -43,9 +43,9 @@ class Auditor {
  public:
   virtual ~Auditor() = default;
 
-  /// A WaitRecord-guarded wakeup was enqueued as event `seq`
-  /// (sim/causal.hpp wake_waiter, Engine sleep suspension). The WaitRef
-  /// pins the pooled record (and its generation) until dispatch.
+  /// A WaitRecord-guarded wakeup was enqueued as event `seq`; called by
+  /// Engine::schedule_at for every waiter wakeup. The WaitRef pins the
+  /// pooled record (and its generation) until dispatch.
   virtual void on_wakeup_scheduled(std::uint64_t seq, WaitRef rec) {
     (void)seq;
     (void)rec;
@@ -66,8 +66,9 @@ class Auditor {
 ///
 ///   dead-waiter-resumption  an event about to be resumed maps to a
 ///                           WaitRecord whose waiter was destroyed — the
-///                           exact bug the alive_guard machinery exists to
-///                           prevent (e.g. a guard dropped from a wake path);
+///                           exact bug the WaitGuard machinery exists to
+///                           prevent (e.g. a wake path that bypasses
+///                           schedule_at through schedule_start);
 ///   live-waiter-drop        the engine dropped a wakeup whose record still
 ///                           reads alive (a lost wakeup);
 ///   monotone-time           event dispatch times never decrease.

@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "obs/recorder.hpp"
-#include "sim/audit.hpp"
 #include "sim/engine.hpp"
 
 namespace vmstorm::sim {
@@ -48,9 +47,7 @@ inline void wake_waiter(Engine& engine, const WaitRef& rec) {
       rec->flow = tr->flow_begin(engine.now_seconds(), 0, "wake", rec->span);
     }
   }
-  const std::uint64_t seq =
-      engine.schedule_after(0, rec->handle, alive_guard(rec), rec->span);
-  if (Auditor* a = engine.auditor()) a->on_wakeup_scheduled(seq, rec);
+  engine.schedule_at(engine.now(), rec);
 }
 
 /// Records the wait edge for a waiter that just resumed: the blocked

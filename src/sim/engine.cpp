@@ -76,14 +76,22 @@ Task<void> JoinHandle::join(Engine& engine) {
   if (state_->exception) std::rethrow_exception(state_->exception);
 }
 
-std::uint64_t Engine::schedule_at(SimTime t, std::coroutine_handle<> h,
-                                  WaitGuard alive, std::uint64_t span) {
+std::uint64_t Engine::enqueue(SimTime t, std::coroutine_handle<> h,
+                              std::uint64_t span, WaitGuard guard) {
   assert(t >= now_ && "cannot schedule in the past");
-  if (span == kInheritSpan) span = current_span_;
   const std::uint64_t seq = next_seq_++;
-  queue_.enqueue(QueuedEvent{t, seq, h, span, std::move(alive)});
+  queue_.enqueue(QueuedEvent{t, seq, h, span, std::move(guard)});
   if (queue_.size() > queue_depth_hw_) queue_depth_hw_ = queue_.size();
   return seq;
+}
+
+void Engine::schedule_at(SimTime t, const WaitRef& rec) {
+  const std::uint64_t seq = enqueue(t, rec->handle, rec->span, WaitGuard{rec});
+  if (auditor_ != nullptr) auditor_->on_wakeup_scheduled(seq, rec);
+}
+
+void Engine::schedule_start(std::coroutine_handle<> h) {
+  enqueue(now_, h, current_span_, WaitGuard{});
 }
 
 // vmlint:allow(span-coverage) sleep is a modeled delay, not contention: the
@@ -91,9 +99,7 @@ std::uint64_t Engine::schedule_at(SimTime t, std::coroutine_handle<> h,
 // here would bill compute phases as waits and skew critical-path attribution.
 void Engine::SleepAwaiter::await_suspend(std::coroutine_handle<> h) {
   rec = make_wait_record(*engine, h);
-  const std::uint64_t seq =
-      engine->schedule_at(wake_at, h, alive_guard(rec));
-  if (Auditor* a = engine->auditor()) a->on_wakeup_scheduled(seq, rec);
+  engine->schedule_at(wake_at, rec);
 }
 
 JoinHandle Engine::spawn(Task<void> task) {
@@ -102,8 +108,7 @@ JoinHandle Engine::spawn(Task<void> task) {
   DetachedTask d = detached_body(this, std::move(task), state, &live_tasks_);
   // The detached frame is engine-owned and self-destroys only on completion,
   // so its startup resumption needs no liveness guard.
-  // lint:allow(unguarded-waiter-schedule) detached frame cannot be destroyed externally
-  schedule_after(0, d.handle);
+  schedule_start(d.handle);
   return JoinHandle(state);
 }
 

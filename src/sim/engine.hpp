@@ -68,10 +68,6 @@ class Engine {
   SimTime now() const { return now_; }
   double now_seconds() const { return to_seconds(now_); }
 
-  /// Sentinel span argument to schedule_at: the queued resumption inherits
-  /// the span that is current at schedule time.
-  static constexpr std::uint64_t kInheritSpan = ~std::uint64_t{0};
-
   /// Causal span context. Every queued resumption captures a span id; run()
   /// restores it before resuming the coroutine, so a process keeps its span
   /// across co_await / sleep / spawn without any per-frame storage. 0 means
@@ -79,23 +75,21 @@ class Engine {
   std::uint64_t current_span() const { return current_span_; }
   void set_current_span(std::uint64_t span) { current_span_ = span; }
 
-  /// Enqueues a coroutine resumption at absolute time t (>= now). The
-  /// optional `alive` guard is re-checked just before resumption; a wakeup
-  /// whose guard reads dead (or generation-stale) is dropped — the waiter
-  /// was destroyed while the wakeup was in flight. Wakeups for suspended
-  /// waiters held in shared lists must pass a guard — see WaitRecord /
-  /// alive_guard in sim/wait_pool.hpp. `span` is the span context restored
-  /// when the event fires; the default inherits the span current at schedule
-  /// time. Returns the queued event's sequence number (unique per engine),
-  /// which audit hooks use to tie a scheduled wakeup to its dispatch.
-  std::uint64_t schedule_at(SimTime t, std::coroutine_handle<> h,
-                            WaitGuard alive = {},
-                            std::uint64_t span = kInheritSpan);
-  std::uint64_t schedule_after(SimTime dt, std::coroutine_handle<> h,
-                               WaitGuard alive = {},
-                               std::uint64_t span = kInheritSpan) {
-    return schedule_at(now_ + dt, h, std::move(alive), span);
-  }
+  /// Enqueues the wakeup of the waiter parked on `rec` at absolute time t
+  /// (>= now). The handle and the span context restored on resume come from
+  /// the record. The queued event carries a WaitGuard over the record: a
+  /// wakeup whose waiter was destroyed (or whose slot was recycled) before t
+  /// is dropped instead of resumed, and counted in cancelled_wakeups(). An
+  /// attached auditor is told of every such wakeup (on_wakeup_scheduled).
+  /// Taking the record rather than a raw handle is what makes an unguarded
+  /// or unaudited waiter wakeup impossible to write.
+  void schedule_at(SimTime t, const WaitRef& rec);
+
+  /// The one unguarded entry point: resumes `h` at now() in the current
+  /// span. Only for frames the engine owns (spawn's detached wrapper, which
+  /// is never destroyed while queued). It takes no time, so it cannot
+  /// express a sleep or a delayed wake.
+  void schedule_start(std::coroutine_handle<> h);
 
   /// Awaitable: suspends the current process for dt simulated time.
   auto sleep(SimTime dt) { return SleepAwaiter{this, now_ + (dt < 0 ? 0 : dt)}; }
@@ -181,6 +175,11 @@ class Engine {
       if (rec) rec->resumed = true;
     }
   };
+
+  /// Queues one resumption and returns its sequence number (unique per
+  /// engine), which audit hooks use to tie a wakeup to its dispatch.
+  std::uint64_t enqueue(SimTime t, std::coroutine_handle<> h,
+                        std::uint64_t span, WaitGuard guard);
 
   friend class JoinHandle;
 

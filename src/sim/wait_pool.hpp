@@ -17,15 +17,18 @@
 //              the last WaitRef (or owning WaitGuard) recycles the slot,
 //              exactly mirroring the shared_ptr lifetime it replaces, so the
 //              sim.wait_records_live gauge keeps byte-identical values.
-//   WaitGuard  liveness guard passed to Engine::schedule_at. It owns a
-//              reference — pinning the slot while the wakeup is in flight —
-//              and additionally carries the slot's generation stamp.
+//   WaitGuard  liveness guard Engine::schedule_at builds from the record it
+//              is given. It owns a reference — pinning the slot while the
+//              wakeup is in flight — and additionally carries the slot's
+//              generation stamp.
 //
 // The generation stamp is the pool's core safety invariant: releasing a slot
 // back to the free list bumps its generation, so a stale guard can never read
-// a recycled slot as its (long-dead) original waiter — the dynamic twin of
-// vmlint's unguarded-waiter rule and the auditor's dead-waiter oracle.
-// tests/sim/wait_pool_test.cpp locks the invariant in.
+// a recycled slot as its (long-dead) original waiter. The static half of the
+// guarantee is schedule_at's signature: it accepts a WaitRef, never a raw
+// handle, so no waiter wakeup can be queued without a guard. The auditor's
+// dead-waiter oracle checks the same invariant at run time, and
+// tests/sim/wait_pool_test.cpp locks it in.
 #pragma once
 
 #include <coroutine>
@@ -179,8 +182,8 @@ class WaitRef {
 /// the former aliasing shared_ptr<const bool>. Owns a reference (so a queued
 /// wakeup pins its record, matching the old lifetime exactly) and captures
 /// the slot's generation at construction; valid() re-checks both. Move-only:
-/// a guard travels from the blocking site into the event queue and dies when
-/// the wakeup is dispatched or dropped.
+/// Engine::schedule_at builds one and moves it into the event queue, where it
+/// dies when the wakeup is dispatched or dropped.
 class WaitGuard {
  public:
   WaitGuard() = default;
@@ -200,11 +203,5 @@ class WaitGuard {
   WaitRef ref_{};
   std::uint32_t gen_ = 0;
 };
-
-/// Builds the liveness guard for a record, suitable for passing to
-/// Engine::schedule_at/schedule_after. Keeps the record alive until the
-/// queued wakeup is consumed or dropped (the name is also the token vmlint's
-/// unguarded-waiter rule looks for at schedule sites).
-inline WaitGuard alive_guard(const WaitRef& rec) { return WaitGuard{rec}; }
 
 }  // namespace vmstorm::sim

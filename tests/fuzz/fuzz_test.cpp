@@ -242,7 +242,8 @@ sim::Task<void> park_on(sim::Event* ev) { co_await ev->wait(); }
 
 // End-to-end through Engine::run, without UB: an unguarded wakeup for a
 // waiter whose record reads dead must make the auditor throw BEFORE the
-// engine resumes the handle.
+// engine resumes the handle. schedule_start is the only way to queue a raw
+// handle, so this is the runtime check against misusing it for a waiter.
 TEST(InvariantAuditor, EngineFailsFastBeforeResumingDeadWaiter) {
   sim::Engine engine;
   sim::InvariantAuditor auditor;
@@ -252,8 +253,10 @@ TEST(InvariantAuditor, EngineFailsFastBeforeResumingDeadWaiter) {
   auto h = task.release();
   h.resume();  // parks on the event's waiter list
   sim::WaitRef rec = engine.wait_pool().make(h, 0, 0.0);
-  // Deliberately no alive guard: this models a buggy wake path.
-  const std::uint64_t seq = engine.schedule_after(0, h);
+  // Deliberately no guard: this models a wake path that misuses the
+  // unguarded start entry point. events_scheduled() is the next event's seq.
+  const std::uint64_t seq = engine.events_scheduled();
+  engine.schedule_start(h);
   auditor.on_wakeup_scheduled(seq, rec);
   rec->alive = false;  // the waiter "died" while the wakeup was in flight
   EXPECT_THROW(engine.run(), sim::InvariantViolation);

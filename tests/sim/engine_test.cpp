@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <stdexcept>
 #include <vector>
 
+#include "sim/audit.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -199,6 +201,38 @@ TEST(Engine, TelemetryCountersTrackQueueAndWaitRecords) {
   EXPECT_EQ(e.wait_records_live_high_water(), 4u);
   EXPECT_EQ(e.wait_records_live(), 0u);
   EXPECT_EQ(e.cancelled_wakeups(), 0u);
+}
+
+// The waiter-wakeup rules are carried by schedule_at's signature: it takes
+// the WaitRecord (whose guard and auditor registration it builds itself), so
+// queueing a raw handle there does not compile, and the one raw-handle entry
+// point takes no time.
+template <class H>
+concept SchedulesAt = requires(Engine& e, H h) {
+  e.schedule_at(SimTime{}, h);
+};
+template <class... A>
+concept SchedulesStart = requires(Engine& e, A... a) {
+  e.schedule_start(a...);
+};
+static_assert(SchedulesAt<const WaitRef&>);
+static_assert(!SchedulesAt<std::coroutine_handle<>>);
+static_assert(SchedulesStart<std::coroutine_handle<>>);
+static_assert(!SchedulesStart<SimTime, std::coroutine_handle<>>);
+
+TEST(Engine, SleepRegistersItsWakeupAndSpawnStartDoesNot) {
+  Engine e;
+  InvariantAuditor auditor;
+  e.set_auditor(&auditor);
+  std::vector<double> log;
+  e.spawn(sleeper(e, from_seconds(1.0), &log));
+  EXPECT_EQ(auditor.pending_wakeups(), 0u);  // schedule_start: unaudited
+  e.run(0);  // runs the start event; the sleeper parks with a wakeup queued
+  EXPECT_EQ(auditor.pending_wakeups(), 1u);
+  e.run();
+  EXPECT_EQ(auditor.pending_wakeups(), 0u);
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_TRUE(auditor.violations().empty());
 }
 
 }  // namespace

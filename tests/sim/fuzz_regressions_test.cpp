@@ -155,11 +155,13 @@ TEST(FuzzRegression, WriterBlockedOnDirtyBudgetCancelledSafely) {
 }
 
 // Produced verbatim by the shrinker (seed 0x1, kChannelMix) when the
-// alive_guard was deliberately removed from wake_waiter: the producer's
+// liveness guard was deliberately removed from wake_waiter: the producer's
 // wakeup for the parked consumer was scheduled unguarded, the cancel
 // destroyed the consumer, and the auditor flagged dead-waiter-resumption.
-// With the guard in place this minimal program must run clean — it pins
-// the guard's presence on the sync-primitive wake path.
+// schedule_at now builds the guard itself, so the bug can only come back by
+// routing wake_waiter through the unguarded schedule_start. With the guard in
+// place this minimal program must run clean — it pins the guard's presence
+// on the sync-primitive wake path.
 TEST(FuzzRegression, ShrunkSeed0x1ChannelMixGrantThenCancel) {
   const Program prog = {
       {OpKind::kConsumer, 0, 0},

@@ -53,7 +53,7 @@ class DiffDriver {
     if (guarded) {
       WaitRef rec = pool_.make({}, 0, 0.0);
       ref.slot = rec.slot();
-      ev.guard = alive_guard(rec);
+      ev.guard = WaitGuard{rec};
       pending_.push_back(rec);
     }
     ++next_seq_;

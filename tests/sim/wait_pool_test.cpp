@@ -70,7 +70,7 @@ TEST(WaitGuard, OwnsItsRecordAndTracksLiveness) {
   EXPECT_TRUE(guard.unconditional());
   {
     WaitRef rec = pool.make({}, 0, 0.0);
-    guard = alive_guard(rec);
+    guard = WaitGuard{rec};
     EXPECT_FALSE(guard.unconditional());
     EXPECT_TRUE(guard.valid());
     rec->alive = false;
@@ -136,9 +136,7 @@ TEST(WaitPool, MidSleepDestructionRecyclesOnlyAfterTheDrop) {
   Engine e;
   Task<void> t = sleeper(e, from_micros(100));
   auto h = t.release();
-  const std::uint64_t seq0 = e.events_scheduled();
-  e.schedule_after(0, h);  // start the sleeper
-  (void)seq0;
+  e.schedule_start(h);  // start the sleeper
   e.run(from_micros(1));  // sleeper is now parked with a queued wakeup
   EXPECT_EQ(e.wait_records_live(), 1u);
   h.destroy();  // awaiter dtor flips alive; guard still pins the slot

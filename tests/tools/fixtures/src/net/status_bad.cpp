@@ -15,10 +15,6 @@ struct Conn {
     (void)send_all(1);  // void-suppressed-status
     send_all(2);        // discarded-status
   }
-
-  void wake(sim::Engine* engine, Rec* rec) {
-    engine->schedule_after(10, rec->handle);  // unguarded-waiter-schedule
-  }
 };
 
 }  // namespace fixture

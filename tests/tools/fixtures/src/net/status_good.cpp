@@ -20,10 +20,6 @@ struct Conn {
   }
 
   Status propagates() { return send_all(1); }
-
-  void wake(sim::Engine* engine, std::shared_ptr<sim::WaitRecord> rec) {
-    engine->schedule_after(10, rec->handle, sim::alive_guard(rec));
-  }
 };
 
 }  // namespace fixture

@@ -5,7 +5,7 @@
 namespace fixture::sim {
 
 struct Engine {
-  void schedule_after(double delay, void* h) {}
+  void schedule_at(double t, void* h) {}
 };
 
 struct Rng {
@@ -32,7 +32,7 @@ void mix_from_noise() {
 
 void schedule_from_noise(Engine& eng) {
   double noise = ambient_noise();
-  eng.schedule_after(0.001 * noise, nullptr);  // rngflow-schedule
+  eng.schedule_at(0.001 * noise, nullptr);  // rngflow-schedule
 }
 
 void engine_seed() {

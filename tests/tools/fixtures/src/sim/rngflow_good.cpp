@@ -8,12 +8,12 @@ struct Rng {
 };
 
 struct Engine {
-  void schedule_after(double delay, void* h);
+  void schedule_at(double t, void* h);
 };
 
 void seeded_run(Engine& eng, unsigned long long cfg_seed) {
   Rng rng(cfg_seed);
-  eng.schedule_after(1.5, nullptr);
+  eng.schedule_at(1.5, nullptr);
 }
 
 }  // namespace fixture::sim

@@ -251,8 +251,6 @@ def test_status_discipline_rule():
          "status-discipline/void-suppressed-status"),
         (bad, line_of(bad, "discarded-status"),
          "status-discipline/discarded-status"),
-        (bad, line_of(bad, "unguarded-waiter-schedule"),
-         "status-discipline/unguarded-waiter-schedule"),
     }
     assert got == want, (got, want)  # legacy lint:allow shim keeps working
 
@@ -288,28 +286,6 @@ def test_lock_across_await_rule():
     # lock_good.cpp (scoped release, non-blocking body, allow escape) and
     # flow_caller's caller_released contribute nothing.
     assert got == want, (got, want)
-
-
-def test_unguarded_waiter_rule():
-    bad = "src/sim/waiter_bad.cpp"
-    got = run_rule("unguarded-waiter")
-    want = {
-        (bad, line_of(bad, "// unguarded-schedule"),
-         "unguarded-waiter/unguarded-schedule"),
-        (bad, line_of(bad, "// missing-audit-hook"),
-         "unguarded-waiter/missing-audit-hook"),
-    }
-    # waiter_good.cpp (guarded + audited, and a guarded relay) is clean.
-    assert got == want, (got, want)
-
-
-def test_unguarded_waiter_flags_pr5_sleepawaiter_shape():
-    """Regression: the PR 5 SleepAwaiter use-after-free scheduled a wakeup
-    with no liveness guard; its fixture reproduction must stay flagged."""
-    bad = "src/sim/waiter_bad.cpp"
-    got = run_rule("unguarded-waiter")
-    assert (bad, line_of(bad, "schedule_at(wake_at, h)"),
-            "unguarded-waiter/unguarded-schedule") in got, got
 
 
 def test_hot_path_alloc_rule():
@@ -518,7 +494,7 @@ def test_cli_list_rules():
     assert proc.returncode == 0, proc
     for rule in ("determinism", "coro-capture", "layer-dag",
                  "status-discipline", "header-hygiene", "lock-across-await",
-                 "unguarded-waiter", "hot-path-alloc", "span-coverage",
+                 "hot-path-alloc", "span-coverage",
                  "determinism-taint", "rng-flow", "env-read-discipline"):
         assert rule in proc.stdout, (rule, proc.stdout)
 

@@ -3,11 +3,11 @@
 
 Usage:  check_bench_schema.py FILE_OR_DIR [FILE_OR_DIR ...]
 
-Accepts vmstorm-bench-v1, -v2, and -v3 artifacts. v2 adds the
-"attribution" key (critical-path analysis; null when tracing was off):
-each row's bucket values must come from the closed bucket enum and sum to
-the row's total seconds within 1e-6. v3 adds the "timeline" key (sampled
-time series; null when sampling was off): timestamps strictly increasing,
+Accepts vmstorm-bench-v3, the schema every bench emits. Both "attribution"
+(critical-path analysis) and "timeline" (sampled time series) are required
+keys, null when tracing or sampling was off. Attribution rows take bucket
+values from the closed bucket enum summing to the row's total seconds
+within 1e-6. A timeline has timestamps strictly increasing,
 every series exactly as long as the time axis, and — when the optional
 "phases" segmentation is present — regimes drawn from a closed enum with
 per-regime totals summing to the analyzed duration (the same closed-sum
@@ -19,7 +19,7 @@ arms off/sampled/full, each tiling wall time into the closed phase enum.
 On full-mode artifacts (quick == false) the sampled arm's tracer time must
 be strictly below the full arm's — the point of sampling. An optional
 top-level "timeline" key (from the fourth, sampling-enabled run) is
-validated with the v3 timeline rules.
+validated with the same timeline rules.
 
 Directories are scanned for BENCH_*.json. Exits non-zero and prints one
 line per violation if any artifact is malformed. Pure stdlib — no
@@ -29,7 +29,7 @@ import json
 import pathlib
 import sys
 
-SCHEMAS = ("vmstorm-bench-v1", "vmstorm-bench-v2", "vmstorm-bench-v3")
+SCHEMA = "vmstorm-bench-v3"
 ENGINE_SCHEMA = "vmstorm-engine-v1"
 
 # Closed enum: obs::Regime names, in enum (= schema) order.
@@ -360,8 +360,8 @@ def check_report(path, errors, doc):
     schema = doc.get("schema")
     if schema == ENGINE_SCHEMA:
         return check_engine_report(path, errors, doc)
-    if schema not in SCHEMAS:
-        fail(path, errors, f"schema is {schema!r}, want one of {SCHEMAS!r}")
+    if schema != SCHEMA:
+        fail(path, errors, f"schema is {schema!r}, want {SCHEMA!r}")
     for key in ("name", "figure", "title"):
         if not isinstance(doc.get(key), str) or not doc.get(key):
             fail(path, errors, f"'{key}' must be a non-empty string")
@@ -410,19 +410,16 @@ def check_report(path, errors, doc):
     else:
         check_metrics(path, errors, doc["metrics"])
 
-    if schema in ("vmstorm-bench-v2", "vmstorm-bench-v3"):
-        if "attribution" not in doc:
-            fail(path, errors,
-                 "'attribution' key missing (may be null, not absent)")
-        else:
-            check_attribution(path, errors, doc["attribution"])
+    if "attribution" not in doc:
+        fail(path, errors,
+             "'attribution' key missing (may be null, not absent)")
+    else:
+        check_attribution(path, errors, doc["attribution"])
 
-    if schema == "vmstorm-bench-v3":
-        if "timeline" not in doc:
-            fail(path, errors,
-                 "'timeline' key missing (may be null, not absent)")
-        else:
-            check_timeline(path, errors, doc["timeline"])
+    if "timeline" not in doc:
+        fail(path, errors, "'timeline' key missing (may be null, not absent)")
+    else:
+        check_timeline(path, errors, doc["timeline"])
 
 
 def collect(args):

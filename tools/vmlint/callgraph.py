@@ -38,8 +38,8 @@ Name resolution is deliberately conservative, tuned to fail toward silence:
     Each mode is declared next to the analysis it governs: `propagation`
     in blocking.toml [blocking] and taint.toml [taint].
 
-The graph is built once per Project (see get()) and shared by all four flow
-rules; build stats are exported for `vmlint --stats`.
+The graph is built once per Project (see get()) and shared by every flow and
+taint rule; build stats are exported for `vmlint --stats`.
 """
 
 import os
@@ -647,12 +647,6 @@ def creates_wait_record(toks, fn):
                 return True
         k += 1
     return False
-
-
-def mentions_wait_record(toks, fn):
-    """True when WaitRecord appears anywhere in fn's signature or body."""
-    return any(toks[k].kind == "id" and toks[k].text == "WaitRecord"
-               for k in range(fn.params_start, fn.body_end))
 
 
 def get(project, config=None):

@@ -11,7 +11,7 @@ member stores, and reports when it reaches
 
   metric-write    a .set/.add/.record on a deterministic Registry handle
                   (host_gauge receivers are the sanctioned scope)
-  sim-schedule    an Engine::schedule_at/schedule_after time
+  sim-schedule    an Engine::schedule_at time
   fingerprint     a Report::config entry (feeds the BENCH_*.json
                   config fingerprint)
   trace-payload   a Tracer complete/instant/flow record (the trace JSONL

@@ -5,7 +5,7 @@ hot-loop bookkeeping as the expected bottleneck, and the planned fixes
 (calendar queue, pooled WaitRecords, arena allocation) only stay fixed if a
 gate stops new allocations from leaking back into the hot set. This rule is
 that gate: blocking.toml [hot] declares the roots (Engine::run dispatch,
-schedule_at/schedule_after, every await_suspend, wake_waiter, FifoServer
+schedule_at/schedule_start, every await_suspend, wake_waiter, FifoServer
 inner loops, ...), the call graph closes them forward, and any
 allocation-shaped operation inside the closure is a finding:
 

@@ -11,7 +11,7 @@ stores and reports when it reaches
   rng-seed        a vmstorm::Rng constructor/reseed/fork or the
                   mix64/splitmix64 seed derivation — a foreign generator
                   laundered into the sanctioned one
-  sim-schedule    an Engine::schedule_at/schedule_after time
+  sim-schedule    an Engine::schedule_at time
   metric-write    a deterministic Registry handle write
 
 Scoped to src/. Suppress with `// vmlint:allow(rng-flow) <reason>`.

@@ -8,13 +8,11 @@ raw strings can no longer false-positive). Legacy `// lint:allow(<rule>)`
 escapes keep working — the framework treats them as vmlint:allow.
 
   raw-waiter-container   vector/deque of raw std::coroutine_handle<>.
-                         Store std::shared_ptr<sim::WaitRecord> and wake
-                         via sim::alive_guard instead (a destroyed waiter
-                         must never be resumed).
-  unguarded-waiter-schedule
-                         schedule_at/schedule_after of a handle taken from
-                         a waiter record/list without the alive guard
-                         (third argument).
+                         Store sim::WaitRef records and wake them through
+                         Engine::schedule_at instead (a destroyed waiter
+                         must never be resumed). The type system cannot
+                         stop a stored raw handle from being resumed
+                         directly with .resume(), bypassing the engine.
   void-suppressed-status (void)-cast of a call returning Status/Result.
   discarded-status       bare statement call of a Status/Result-returning
                          function (reached through a reference or macro
@@ -23,8 +21,8 @@ escapes keep working — the framework treats them as vmlint:allow.
                          library code without a preceding is_ok()/
                          truthiness guard.
 
-Waiter-container rules apply everywhere (a stale handle in a test is still
-UB); the Status rules apply to src/ only — tests/bench may .value() freely,
+The waiter-container rule applies everywhere (a stale handle in a test is
+still UB); the Status rules apply to src/ only — tests/bench may .value() freely,
 a crash there is a test failure, not data corruption.
 """
 
@@ -36,7 +34,6 @@ GUARD_LOOKBACK_LINES = 8
 
 RE_RAW_WAITER = re.compile(
     r"(?:std::)?(?:vector|deque)\s*<\s*std::coroutine_handle\b")
-RE_SCHEDULE = re.compile(r"schedule_(?:at|after)\s*\(\s*(?P<args>[^;]*)\)")
 RE_VALUE = re.compile(
     r"[\w\)\]]\s*\.\s*(?:value(?:_unchecked)?|check)\s*\(\s*\)")
 RE_DECL_STATUS_FN = re.compile(
@@ -54,11 +51,8 @@ RE_VOID_CAST_CALL = re.compile(
 
 MESSAGES = {
     "raw-waiter-container":
-        "raw coroutine-handle waiter container; store "
-        "std::shared_ptr<sim::WaitRecord> and wake via sim::alive_guard",
-    "unguarded-waiter-schedule":
-        "scheduling a stored waiter handle without an alive guard; pass "
-        "sim::alive_guard(rec) as the third argument",
+        "raw coroutine-handle waiter container; store sim::WaitRef "
+        "records and wake them via Engine::schedule_at",
     "void-suppressed-status":
         "(void)-cast discards a Status/Result; handle or propagate it",
     "discarded-status":
@@ -66,25 +60,6 @@ MESSAGES = {
     "naked-value":
         "Result::value() without a preceding is_ok()/truthiness guard",
 }
-
-
-def _schedule_violations(code):
-    """Two-argument schedule calls whose handle came from a record/list."""
-    for m in RE_SCHEDULE.finditer(code):
-        args = m.group("args")
-        depth, commas = 0, 0
-        for ch in args:
-            if ch in "([{":
-                depth += 1
-            elif ch in ")]}":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                commas += 1
-        if commas != 1:
-            continue  # 3-arg call: guard already passed
-        handle_expr = args.split(",", 1)[1].strip()
-        if re.search(r"(?:->|\.)\s*handle\b|\brec\b|\bwaiter", handle_expr):
-            yield handle_expr
 
 
 def _has_value_guard(code_lines, idx):
@@ -129,11 +104,9 @@ class StatusDisciplineRule:
                                     subrule=subrule))
 
         for idx, code in enumerate(sf.code_lines):
-            # Everywhere: raw waiter containers and unguarded wakeups.
+            # Everywhere: raw waiter containers.
             if RE_RAW_WAITER.search(code):
                 report(idx, "raw-waiter-container")
-            for handle_expr in _schedule_violations(code):
-                report(idx, "unguarded-waiter-schedule", handle_expr)
 
             if not in_src or is_status_hpp:
                 continue

@@ -15,8 +15,9 @@ entries), 2 on usage/configuration errors.
   --rules         comma-separated subset (default: all). Token rules:
                   determinism, coro-capture, layer-dag, status-discipline,
                   header-hygiene. Call-graph rules (cross-TU, see
-                  callgraph.py): lock-across-await, unguarded-waiter,
-                  hot-path-alloc, span-coverage.
+                  callgraph.py): lock-across-await, hot-path-alloc,
+                  span-coverage, determinism-taint, rng-flow,
+                  env-read-discipline.
   --baseline      grandfathered-findings file
                   (default: tools/vmlint/baseline.txt under --root)
   --fix-baseline  rewrite the baseline from current findings and exit 0
