@@ -9,7 +9,6 @@
 
 #include "common/env.hpp"
 #include "obs/phases.hpp"
-#include "obs/selfprof.hpp"
 #include "sim/causal.hpp"
 #include "sim/sync.hpp"
 
@@ -857,24 +856,6 @@ void Cloud::collect_metrics() {
         .set(as_d(obs_.timeline.samples_taken()));
     reg.gauge("timeline.dropped_samples")
         .set(as_d(obs_.timeline.dropped_samples()));
-  }
-
-  // Host-side numbers (wall clock, RSS) vary run to run on the same seed;
-  // they live in the host scope, which to_json() never serializes.
-  if (const obs::SelfProfiler* prof = engine_.profiler()) {
-    const double wall = prof->run_seconds();
-    reg.host_gauge("engine.wall_seconds").set(wall);
-    reg.host_gauge("engine.events_per_sec")
-        .set(wall > 0 ? as_d(engine_.events_processed()) / wall : 0.0);
-    reg.host_gauge("engine.dispatch_seconds").set(prof->dispatch_seconds());
-    reg.host_gauge("engine.queue_ops_seconds")
-        .set(prof->seconds(obs::SelfProfiler::kQueueOps));
-    reg.host_gauge("engine.auditor_seconds")
-        .set(prof->seconds(obs::SelfProfiler::kAuditor));
-    reg.host_gauge("engine.tracer_seconds")
-        .set(prof->seconds(obs::SelfProfiler::kTracer));
-    reg.host_gauge("engine.user_work_seconds").set(prof->user_seconds());
-    reg.host_gauge("host.peak_rss_bytes").set(as_d(obs::peak_rss_bytes()));
   }
 }
 

@@ -122,12 +122,6 @@ TimeWeighted& Registry::time_weighted(std::string_view name,
   return *slot;
 }
 
-Gauge& Registry::host_gauge(std::string_view name, const Labels& labels) {
-  auto& slot = host_gauges_[encode_key(name, labels)];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 void Registry::write_json(JsonWriter& w) const {
   w.begin_object();
   w.key("counters").begin_object();
@@ -170,20 +164,6 @@ void Registry::write_json(JsonWriter& w) const {
 std::string Registry::to_json() const {
   JsonWriter w;
   write_json(w);
-  return w.take();
-}
-
-void Registry::write_host_json(JsonWriter& w) const {
-  w.begin_object();
-  w.key("host_gauges").begin_object();
-  for (const auto& [key, g] : host_gauges_) w.key(key).value(g->value());
-  w.end_object();
-  w.end_object();
-}
-
-std::string Registry::host_json() const {
-  JsonWriter w;
-  write_host_json(w);
   return w.take();
 }
 

@@ -127,12 +127,6 @@ class Registry {
                           HistogramOptions opts = HistogramOptions{});
   TimeWeighted& time_weighted(std::string_view name, const Labels& labels = {});
 
-  /// Host-side gauge: wall-clock timings, RSS — anything that varies run to
-  /// run on the same seed. Kept in a separate scope that to_json() (the
-  /// seed-deterministic export) never touches, so attaching host telemetry
-  /// cannot break same-seed byte-identity. Export with host_json().
-  Gauge& host_gauge(std::string_view name, const Labels& labels = {});
-
   /// Canonical metric key: name{k1=v1,k2=v2} with labels sorted by key.
   static std::string encode_key(std::string_view name, const Labels& labels);
 
@@ -140,24 +134,17 @@ class Registry {
     return counters_.size() + gauges_.size() + histograms_.size() +
            time_weighted_.size();
   }
-  std::size_t host_size() const { return host_gauges_.size(); }
 
   /// Serializes every deterministic metric, grouped by kind, in key order:
   /// {"counters":{...},"gauges":{...},"histograms":{...},"time_weighted":{...}}
-  /// Host gauges are deliberately absent — see host_gauge().
   void write_json(JsonWriter& w) const;
   std::string to_json() const;
-
-  /// Serializes the host-gauge scope only: {"host_gauges":{...}}.
-  void write_host_json(JsonWriter& w) const;
-  std::string host_json() const;
 
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<ExpHistogram>> histograms_;
   std::map<std::string, std::unique_ptr<TimeWeighted>> time_weighted_;
-  std::map<std::string, std::unique_ptr<Gauge>> host_gauges_;
 };
 
 }  // namespace vmstorm::obs

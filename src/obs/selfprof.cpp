@@ -4,19 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "obs/json.hpp"
-
 namespace vmstorm::obs {
-
-const char* SelfProfiler::phase_name(int phase) {
-  switch (phase) {
-    case kQueueOps: return "queue_ops";
-    case kAuditor: return "auditor";
-    case kResume: return "resume";
-    case kTracer: return "tracer";
-    default: return "?";
-  }
-}
 
 double SelfProfiler::wall_now() {
   // vmlint:allow(determinism) the one sanctioned wall-clock read: host-side
@@ -39,20 +27,6 @@ double SelfProfiler::dispatch_seconds() const {
 double SelfProfiler::user_seconds() const {
   const double u = seconds_[kResume] - seconds_[kTracer];
   return u > 0 ? u : 0;
-}
-
-void SelfProfiler::write_json(JsonWriter& w) const {
-  w.begin_object();
-  w.key("wall_seconds").value(run_seconds_);
-  w.key("phases").begin_object();
-  w.key("queue_ops").value(seconds_[kQueueOps]);
-  w.key("auditor").value(seconds_[kAuditor]);
-  w.key("resume").value(seconds_[kResume]);
-  w.key("tracer").value(seconds_[kTracer]);
-  w.key("dispatch").value(dispatch_seconds());
-  w.key("user_work").value(user_seconds());
-  w.end_object();
-  w.end_object();
 }
 
 namespace {

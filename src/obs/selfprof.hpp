@@ -9,10 +9,10 @@
 // (tracing-off vs sampled vs full ablation).
 //
 // Determinism contract: nothing here feeds back into the simulation or the
-// seed-deterministic metric/trace exports. Host numbers flow only into
-// Registry::host_gauge() and the non-fingerprinted "overhead" section of
-// BENCH_engine.json, so same-seed byte-identity of the deterministic
-// artifacts holds with a profiler attached. wall_now() is the one
+// seed-deterministic metric/trace exports. Host numbers flow only into the
+// non-fingerprinted "overhead" section of BENCH_engine.json (bench_scale)
+// and the perfbench driver's report, so same-seed byte-identity of the
+// deterministic artifacts holds with a profiler attached. wall_now() is the one
 // vmlint-sanctioned wall-clock read in src/ (vmlint:allow(determinism) in
 // selfprof.cpp); everything host-timed funnels through it.
 #pragma once
@@ -20,8 +20,6 @@
 #include <cstdint>
 
 namespace vmstorm::obs {
-
-class JsonWriter;
 
 class SelfProfiler {
  public:
@@ -35,8 +33,6 @@ class SelfProfiler {
     kTracer,        ///< Tracer::push, nested inside kResume
     kPhaseCount
   };
-
-  static const char* phase_name(int phase);
 
   /// Monotonic host seconds. The single sanctioned wall-clock read.
   static double wall_now();
@@ -55,10 +51,6 @@ class SelfProfiler {
   double dispatch_seconds() const;
   /// Simulated components' own work: resume time minus tracer time.
   double user_seconds() const;
-
-  /// {"wall_seconds":..,"phases":{"queue_ops":..,"auditor":..,"resume":..,
-  ///  "tracer":..,"dispatch":..,"user_work":..}}
-  void write_json(JsonWriter& w) const;
 
  private:
   double seconds_[kPhaseCount] = {};

@@ -212,24 +212,6 @@ TEST(ObsDeterminism, SampledTraceIsSubsetOfFull) {
   EXPECT_LT(sampled.jsonl.size(), full.jsonl.size());
 }
 
-TEST(ObsDeterminism, HostGaugesExportSeparately) {
-  Cloud cloud(small_config(), Strategy::kOurs);
-  obs::SelfProfiler prof;
-  cloud.engine().set_profiler(&prof);
-  cloud.multideploy(4, small_trace());
-  const std::string metrics = cloud.metrics_json();
-  const std::string host = cloud.obs().metrics.host_json();
-  // Deterministic snapshot and host-side overhead live in disjoint scopes.
-  EXPECT_EQ(metrics.find("engine.wall_seconds"), std::string::npos);
-  for (const char* key :
-       {"\"engine.wall_seconds\"", "\"engine.events_per_sec\"",
-        "\"engine.dispatch_seconds\"", "\"engine.tracer_seconds\"",
-        "\"host.peak_rss_bytes\""}) {
-    EXPECT_NE(host.find(key), std::string::npos) << key;
-  }
-  cloud.engine().set_profiler(nullptr);
-}
-
 TEST(ObsDeterminism, CollectMetricsIsIdempotent) {
   Cloud cloud(small_config(), Strategy::kOurs);
   cloud.multideploy(4, small_trace());

@@ -2,30 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <vector>
-
-#include "obs/json.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace vmstorm::obs {
 namespace {
-
-TEST(SelfProfiler, PhaseNamesCoverTheEnum) {
-  std::vector<std::string> names;
-  for (int p = 0; p < SelfProfiler::kPhaseCount; ++p) {
-    ASSERT_NE(SelfProfiler::phase_name(p), nullptr) << p;
-    names.emplace_back(SelfProfiler::phase_name(p));
-  }
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    EXPECT_FALSE(names[i].empty());
-    for (std::size_t j = i + 1; j < names.size(); ++j) {
-      EXPECT_NE(names[i], names[j]);
-    }
-  }
-}
 
 TEST(SelfProfiler, ChargeAccumulatesPerPhase) {
   SelfProfiler prof;
@@ -78,25 +60,6 @@ TEST(SelfProfiler, WallNowIsMonotone) {
   double t1 = t0;
   for (int i = 0; i < 1000; ++i) t1 = SelfProfiler::wall_now();
   EXPECT_GE(t1, t0);
-}
-
-TEST(SelfProfiler, WriteJsonCoversPhaseEnum) {
-  SelfProfiler prof;
-  prof.charge_run(1.0);
-  prof.charge(SelfProfiler::kResume, 0.5);
-  JsonWriter w;
-  prof.write_json(w);
-  const std::string json = w.str();
-  for (const char* key :
-       {"\"wall_seconds\"", "\"queue_ops\"", "\"auditor\"", "\"resume\"",
-        "\"tracer\"", "\"dispatch\"", "\"user_work\""}) {
-    EXPECT_NE(json.find(key), std::string::npos) << key;
-  }
-  // The emitted object parses back.
-  auto doc = parse_json(json);
-  ASSERT_TRUE(doc.is_ok()) << doc.status().to_string();
-  EXPECT_DOUBLE_EQ((*doc)["wall_seconds"].as_number(), 1.0);
-  EXPECT_DOUBLE_EQ((*doc)["phases"]["resume"].as_number(), 0.5);
 }
 
 TEST(SelfProfiler, RssReadersReportTheProcess) {

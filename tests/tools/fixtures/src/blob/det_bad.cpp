@@ -25,6 +25,12 @@ inline int ambient_random() {
   return rand() + static_cast<int>(rd());  // ambient-rand
 }
 
+inline long ambient_rand48() {
+  long x = lrand48();    // bare-lrand48
+  x += mrand48();        // bare-mrand48
+  return x + random();   // bare-random
+}
+
 inline unsigned raw_engine() {
   std::mt19937 gen(42);  // std-random-engine
   return gen();

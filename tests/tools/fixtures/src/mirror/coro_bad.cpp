@@ -17,14 +17,6 @@ struct Pumper {
     int local = 7;
     engine.spawn(wrap([&local] { return local; }));  // spawned-capture
   }
-
-  void broken_discard() {
-    pump_bytes(3);  // discarded-task
-  }
-
-  void ambiguous_read_ok() {
-    read('x');  // NOT discarded-task: `read` is Task-or-Status ambiguous
-  }
 };
 
 }  // namespace fixture

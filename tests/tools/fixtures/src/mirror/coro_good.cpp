@@ -23,12 +23,7 @@ struct Pumper {
     return f();
   }
 
-  sim::Task<void> safe_await() {
-    co_await pump_bytes(1);
-    engine_spawnless_note();  // not Task-returning: no finding
-  }
-
-  void engine_spawnless_note() {}
+  sim::Task<void> safe_await() { co_await pump_bytes(1); }
 };
 
 }  // namespace fixture

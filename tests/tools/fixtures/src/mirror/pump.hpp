@@ -1,15 +1,9 @@
-// Fixture header: Task-returning declarations feed the coro-capture
-// registry (and a colliding void one, to prove overload subtraction works).
+// Fixture header: the named coroutine the coro-capture fixtures spawn and
+// await.
 #pragma once
 
 namespace fixture {
 
 sim::Task<void> pump_bytes(int n);
-sim::Task<void> drain_bytes(int n);
-
-// `read` appears with BOTH Task and void returns: the discarded-task
-// check must drop it from the registry rather than guess.
-sim::Task<void> read(int n);
-void read(char where);
 
 }  // namespace fixture

@@ -10,7 +10,6 @@ namespace fixture::obs {
 
 struct Gauge {
   void set(double v);
-  double last();
 };
 
 struct Counter {
@@ -20,7 +19,6 @@ struct Counter {
 struct Registry {
   Gauge& gauge(const char* name);
   Counter& counter(const char* name);
-  Gauge& host_gauge(const char* name);
 };
 
 struct Tracer {
@@ -37,11 +35,6 @@ double blend(int v) { return v * 2.0; }  // clean overload
 // is in probe.cpp; only the summary makes this visible.
 void direct_leak(Registry& reg) {
   reg.gauge("engine.wall").set(sample_wall());  // taint-cross-tu
-}
-
-// Host values may flow into the host scope — that is what it is for.
-void host_scope_ok(Registry& reg) {
-  reg.host_gauge("host.wall").set(sample_wall());  // ok-host-scope
 }
 
 // Member-store flow: the taint is parked in a field by one method and
@@ -73,13 +66,6 @@ double to_millis(double s);  // declared only: unresolved calls are transparent
 
 void transparent_leak(Registry& reg) {
   reg.gauge("wall.ms").set(to_millis(sample_wall()));  // taint-transparent
-}
-
-// The PR 7 host/sim split, reproduced: a host_gauge reading re-published
-// through a deterministic handle would put wall-clock numbers back into
-// the fingerprinted to_json() export.
-void hostsplit_regression(Registry& reg) {
-  reg.gauge("wall").set(reg.host_gauge("hw").last());  // taint-hostsplit-regress
 }
 
 void trace_leak(Tracer& tr) {

@@ -9,9 +9,8 @@
 # (configured automatically if missing). Two phases:
 #   1. clang-tidy with the repo .clang-tidy config.
 #   2. clang-query with the AST matchers under tools/clang_query/*.cq
-#      (coroutine-lambda captures through named lambdas, discarded Task
-#      values through dependent calls — the shapes vmlint's token rules
-#      cannot see). Any match fails the run.
+#      (coroutine-lambda captures through named lambdas — a shape vmlint's
+#      token rules cannot see). Any match fails the run.
 # Binaries are looked up under plain and versioned names. A missing
 # clang-tidy without --strict is a skip (exit 0); a missing clang-query is
 # always a warn+skip (vmlint remains the enforced gate for those shapes) —
@@ -27,7 +26,7 @@ while [ $# -gt 0 ]; do
   case "$1" in
     --strict) STRICT=1 ;;
     --build-dir) shift; BUILD_DIR="$1" ;;
-    -h|--help) sed -n '2,18p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,17p' "$0"; exit 0 ;;
     *) FILES+=("$1") ;;
   esac
   shift

@@ -83,7 +83,6 @@ class FunctionDef:
     cls_components: tuple  # enclosing class chain, pre namespace-stripping
     rel: str
     line: int          # 1-based line of the name token
-    sig_start: int     # code-token index of the name token
     params_start: int  # index of the '(' opening the parameter list
     body_start: int    # index of the '{' opening the body
     body_end: int      # index one past the matching '}'
@@ -411,7 +410,6 @@ class _FileParser:
                 cls_components=cls + tuple(path[:-1]),
                 rel=self.rel,
                 line=toks[j].line,
-                sig_start=j,
                 params_start=j + 1,
                 body_start=m,
                 body_end=body_close,

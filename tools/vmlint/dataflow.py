@@ -4,16 +4,16 @@ Where callgraph.py answers "can control flow from A reach B", this module
 answers "can a *value* produced at A reach B": per-function def-use chains
 over the code-token stream, composed across the PR 6 call graph through
 returns, arguments and member stores. Sources, sinks and sanctioned
-sanitizers are declared in taint.toml; each configured *kind* (host,
-entropy, ...) runs the same engine with its own label.
+sanitizers are declared in taint.toml; each configured *kind* (today only
+"host") runs the same engine with its own label.
 
 The analysis is a may-analysis tuned to fail toward noise on real flows
 and toward silence on unresolvable code, in that order:
 
   * per function, a single label-set lattice is computed: an expression
-    carries the kind label T when it contains a source call/identifier, a
-    read of a tainted local/parameter/field, or a call whose callee summary
-    returns taint; it carries a param:i label when it reads parameter i.
+    carries the kind label T when it contains a source call, a read of a
+    tainted local/parameter/field, or a call whose callee summary returns
+    taint; it carries a param:i label when it reads parameter i.
   * summaries (returns-taint, param-to-return, param-to-sink) and
     class-field taint compose across the call graph in a global fixpoint;
     caller arguments carrying T mark the callee's parameter as
@@ -37,11 +37,11 @@ Deterministic metric writes (`.set/.add/.record` on Registry handles) are
 recognized structurally rather than through name resolution, because those
 member names are in blocking.toml's ambiguous_members: a receiver chaining
 from counter()/gauge()/histogram()/time_weighted(), or a variable whose
-declared type or initializer marks it as a deterministic handle, is a sink;
-a receiver chaining from host_gauge() is the sanctioned host scope.
+declared type or initializer marks it as a Registry handle, is a sink. The
+Registry holds only deterministic metrics, so every handle write is one.
 
-Built once per Project (see get()), shared by determinism-taint and
-rng-flow; build stats are exported for `vmlint --stats`.
+Built once per Project (see get()) and read by determinism-taint; build
+stats are exported for `vmlint --stats`.
 """
 
 import os
@@ -302,17 +302,6 @@ class _Summary:
         self.entry = {}           # param index -> why (from callers)
 
 
-class _FileHandles:
-    """Per-file metric-handle name sets: variables/members known to refer to
-    deterministic Registry handles vs the sanctioned host scope."""
-
-    __slots__ = ("det", "host")
-
-    def __init__(self):
-        self.det = set()
-        self.host = set()
-
-
 class KindAnalysis:
     """One taint kind's fixpoint over the whole project."""
 
@@ -322,11 +311,9 @@ class KindAnalysis:
         self.rule = cfg.get("rule", name)
         self.mode = df.mode
         self.source_pats = _patterns(cfg.get("source_calls", []))
-        self.source_ids = set(cfg.get("source_ids", []))
         self.sanitizer_pats = _patterns(cfg.get("sanitizer_calls", []))
         self.sink_groups = [(_patterns(g.get("calls", [])), g.get("label", "sink"))
                             for g in cfg.get("sinks", [])]
-        self.sink_ctor_types = set(cfg.get("sink_ctor_types", []))
         self.metric_sinks = bool(cfg.get("sink_metric_writes", False))
         self._source_names = {p[-1] for p in self.source_pats}
         self.findings = []            # (rel, line, label, message)
@@ -355,12 +342,6 @@ class KindAnalysis:
             if self._site_matches(site, pats):
                 return label
         return None
-
-    def _ctor_label(self, type_name):
-        for pats, label in self.sink_groups:
-            if (type_name,) in pats:
-                return label
-        return "ctor-sink"
 
     # -- the fixpoint --------------------------------------------------------
 
@@ -451,28 +432,13 @@ class KindAnalysis:
                 changed |= self._check_sink_args(fn, summ, site, argl, label)
 
             if (self.metric_sinks and site.member
-                    and site.name in df.mw_methods):
-                recv = df.receiver_kind(fi, site)
-                if recv == "det":
-                    changed |= self._check_sink_args(
-                        fn, summ, site, argl, df.mw_label)
+                    and site.name in df.mw_methods
+                    and df.is_handle_receiver(fi, site)):
+                changed |= self._check_sink_args(
+                    fn, summ, site, argl, df.mw_label)
 
             if site.cands:
                 changed |= self._compose(fn, summ, site, argl)
-
-        # constructor-style sink declarations (`Rng r(expr);`)
-        for type_name, line, lo, hi in df.ctor_inits(fi, self.sink_ctor_types):
-            labs, why = self._eval(fi, fn, vars_, why_, lo, hi)
-            label = self._ctor_label(type_name)
-            if _KIND in labs:
-                self._emit(fn.rel, line, label,
-                           f"{type_name} constructed from {why}")
-            for tag, i in _param_labels(labs):
-                if i not in summ.param_to_sink:
-                    summ.param_to_sink[i] = (
-                        label, f"parameter reaches {type_name} constructor "
-                               f"({fn.rel}:{line})")
-                    changed = True
         return changed
 
     def _check_sink_args(self, fn, summ, site, argl, label):
@@ -542,13 +508,6 @@ class KindAnalysis:
                     why = why or f"{site.name}() (line {site.line})"
                     k = min(site.args_end, hi)
                     continue
-                if site.name in self.source_ids:
-                    # source *type* used as a call (`std::mt19937(7)`,
-                    # `std::random_device{}()`)
-                    labs.add(_KIND)
-                    why = why or f"'{site.name}' (line {site.line})"
-                    k = min(site.args_end, hi)
-                    continue
                 if depth < 6:
                     rl, rwhy = self._call_labels(fi, fn, vars_, why_, site,
                                                  depth)
@@ -574,9 +533,6 @@ class KindAnalysis:
                     labs |= vl
                     if _KIND in vl:
                         why = why or why_.get(txt) or f"tainted '{txt}'"
-                elif txt in self.source_ids:
-                    labs.add(_KIND)
-                    why = why or f"'{txt}' (line {t.line})"
                 elif fn.cls and (fn.cls, txt) in self.field_taint:
                     labs.add(_KIND)
                     why = why or self.field_taint[(fn.cls, txt)]
@@ -618,8 +574,8 @@ class KindAnalysis:
             if site.name in _NOISE_CALLS:
                 return out, why
             if site.name in vars_ and not site.member:
-                # invoking a tainted callable (`gen()` where gen is a
-                # tainted engine/local) yields a tainted value
+                # invoking a tainted callable (`f()` where f is a tainted
+                # local) yields a tainted value
                 vl = vars_[site.name]
                 out |= vl
                 if _KIND in vl:
@@ -676,7 +632,6 @@ class Dataflow:
         mw = self.config.get("metric_writes", {})
         self.mw_methods = set(mw.get("methods", []))
         self.mw_handle_calls = set(mw.get("handle_calls", []))
-        self.mw_host_calls = set(mw.get("host_handle_calls", []))
         self.mw_handle_types = set(mw.get("handle_types", []))
         self.mw_label = mw.get("label", "metric-write")
 
@@ -684,7 +639,6 @@ class Dataflow:
                           for i, fn in enumerate(self.graph.functions)}
         self._fn_infos = [None] * len(self.graph.functions)
         self._arg_spans = {}
-        self._ctor_cache = {}
         self._handles = {}
 
         self.kinds = {}
@@ -757,41 +711,15 @@ class Dataflow:
         self._arg_spans[key] = spans
         return spans
 
-    def ctor_inits(self, fi, type_names):
-        """Constructor-style declarations of the named sink types inside the
-        function body: [(type, line, args_lo, args_hi)]."""
-        if not type_names:
-            return []
-        key = (fi.fn.rel, fi.fn.sig_start, tuple(sorted(type_names)))
-        cached = self._ctor_cache.get(key)
-        if cached is not None:
-            return cached
-        toks = fi.toks
-        out = []
-        j = fi.fn.body_start + 1
-        hi = fi.fn.body_end - 1
-        while j < hi - 2:
-            t = toks[j]
-            if (t.kind == "id" and t.text in type_names
-                    and toks[j + 1].kind == "id"
-                    and j + 2 < hi and toks[j + 2].text in ("(", "{")):
-                open_text = toks[j + 2].text
-                close_text = ")" if open_text == "(" else "}"
-                end = fi._span_end(toks, j + 2, hi, open_text, close_text)
-                out.append((t.text, t.line, j + 3, end))
-                j = end
-                continue
-            j += 1
-        self._ctor_cache[key] = out
-        return out
-
     # -- metric-handle receivers ---------------------------------------------
 
     def handles(self, rel):
+        """Names in the file known to refer to Registry handles: declared
+        with a handle type, or initialized from a handle call."""
         h = self._handles.get(rel)
         if h is not None:
             return h
-        h = _FileHandles()
+        h = set()
         toks = self.graph.code_tokens(rel)
         # declared handle types: `Counter& name`, `obs::Gauge* name`
         for j in range(len(toks) - 1):
@@ -803,17 +731,14 @@ class Dataflow:
                 k += 1
             if (k < len(toks) and toks[k].kind == "id"
                     and (k + 1 >= len(toks) or toks[k + 1].text != "(")):
-                h.det.add(toks[k].text)
+                h.add(toks[k].text)
         # initializer origin: `x = reg.gauge(..` / member-init `x_(reg.gauge(..`
         sig_regions = [(fn.params_start, fn.body_start)
                        for fn in self.graph.functions_in(rel)]
         for j in range(len(toks) - 1):
             t = toks[j]
-            if t.kind != "id" or toks[j + 1].text != "(":
-                continue
-            is_host = t.text in self.mw_host_calls
-            is_det = t.text in self.mw_handle_calls
-            if not (is_host or is_det):
+            if (t.kind != "id" or toks[j + 1].text != "("
+                    or t.text not in self.mw_handle_calls):
                 continue
             # walk back over the receiver chain to its first identifier
             start = j
@@ -835,34 +760,23 @@ class Dataflow:
                     and any(lo <= prev - 1 < hi for lo, hi in sig_regions):
                 target = toks[prev - 1].text
             if target:
-                (h.host if is_host else h.det).add(target)
-        h.det -= h.host
+                h.add(target)
         self._handles[rel] = h
         return h
 
-    def receiver_kind(self, fi, site):
-        """'det' | 'host' | None for the receiver of a member call."""
+    def is_handle_receiver(self, fi, site):
+        """Whether a member call's receiver is a Registry handle."""
         toks = fi.toks
         j = site.name_index - 2   # before the '.'/'->'
         if j < 0:
-            return None
+            return False
         t = toks[j]
         if t.text == ")":
             k = _match_back(toks, j, "(", ")")
-            if k is not None and k - 1 >= 0 and toks[k - 1].kind == "id":
-                nm = toks[k - 1].text
-                if nm in self.mw_host_calls:
-                    return "host"
-                if nm in self.mw_handle_calls:
-                    return "det"
-            return None
-        if t.kind == "id":
-            h = self.handles(fi.fn.rel)
-            if t.text in h.host:
-                return "host"
-            if t.text in h.det:
-                return "det"
-        return None
+            return (k is not None and k - 1 >= 0
+                    and toks[k - 1].kind == "id"
+                    and toks[k - 1].text in self.mw_handle_calls)
+        return t.kind == "id" and t.text in self.handles(fi.fn.rel)
 
 
 def get(project, config=None):

@@ -13,12 +13,10 @@ from rules.determinism import DeterminismRule
 from rules.coro_capture import CoroCaptureRule
 from rules.layer_dag import LayerDagRule
 from rules.status_discipline import StatusDisciplineRule
-from rules.header_hygiene import HeaderHygieneRule
 from rules.lock_across_await import LockAcrossAwaitRule
 from rules.hot_path_alloc import HotPathAllocRule
 from rules.span_coverage import SpanCoverageRule
 from rules.determinism_taint import DeterminismTaintRule
-from rules.rng_flow import RngFlowRule
 from rules.env_discipline import EnvDisciplineRule
 
 ALL_RULES = (
@@ -26,12 +24,10 @@ ALL_RULES = (
     CoroCaptureRule,
     LayerDagRule,
     StatusDisciplineRule,
-    HeaderHygieneRule,
     LockAcrossAwaitRule,
     HotPathAllocRule,
     SpanCoverageRule,
     DeterminismTaintRule,
-    RngFlowRule,
     EnvDisciplineRule,
 )
 

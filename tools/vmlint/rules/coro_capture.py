@@ -1,4 +1,4 @@
-"""coro-capture: lambda/spawn capture lifetime and discarded sim::Task.
+"""coro-capture: lambda/spawn capture lifetime.
 
 A coroutine frame outlives the expression that created it, but a lambda's
 captures live in the *closure object*, not the frame. If the closure is a
@@ -14,35 +14,14 @@ Sub-rules (all scoped to src/):
                        co_yield and whose capture list is non-empty
   spawned-capture      a capturing lambda appearing inside the argument
                        list of spawn(...)
-  discarded-task       a bare statement call of a function declared (in a
-                       src header) to return sim::Task<...>, without
-                       co_await / Engine::spawn / assignment. A Task
-                       destroyed unawaited silently never runs.
-"""
 
-import re
+A discarded sim::Task is not checked here: Task is [[nodiscard]] and the
+build compiles with -Werror=unused-result.
+"""
 
 from core import Finding
 
 _CO_KEYWORDS = {"co_await", "co_return", "co_yield"}
-
-RE_TASK_DECL = re.compile(
-    r"^\s*(?:\[\[nodiscard\]\]\s*)?"
-    r"(?:virtual\s+|static\s+|inline\s+|friend\s+|constexpr\s+)*"
-    r"(?:sim::|vmstorm::sim::)?Task\s*<[^;{()]*>\s+"
-    r"(?P<name>\w+)\s*\(")
-RE_BARE_CALL = re.compile(
-    r"^\s*(?:\w+(?:\.|->))?(?P<name>\w+)\s*\([^;]*\)\s*;\s*$")
-RE_OTHER_DECL = re.compile(
-    r"^\s*(?:\[\[nodiscard\]\]\s*)?"
-    r"(?:virtual\s+|static\s+|inline\s+|friend\s+|constexpr\s+)*"
-    r"(?:void|bool|(?:vmstorm::)?Status|(?:vmstorm::)?Result\s*<[^;{()]*>)\s+"
-    r"(?P<name>\w+)\s*\(")
-
-# Task-returning names that collide with void members of std containers
-# (queue_.pop() must not be mistaken for sim::Channel::pop). Direct calls
-# of these are still covered by [[nodiscard]] on Task.
-_STD_COLLISIONS = {"pop", "push", "get", "swap", "reset", "clear", "run"}
 
 
 def _find_matching(tokens, k, open_text, close_text):
@@ -113,25 +92,8 @@ def _describe_captures(captures):
 
 class CoroCaptureRule:
     name = "coro-capture"
-    description = ("flags capturing coroutine lambdas, capturing lambdas "
-                   "spawned as tasks, and discarded sim::Task values")
-
-    def prepare(self, project):
-        """Names declared to return sim::Task<...> in src headers, minus any
-        name that also appears with a non-Task return type somewhere (the
-        bare-call check cannot resolve overloads across classes)."""
-        task_fns, other_fns = set(), set()
-        for sf in project.sources():
-            if not sf.in_dir("src") or not sf.rel.endswith((".hpp", ".h")):
-                continue
-            for code in sf.code_lines:
-                m = RE_TASK_DECL.match(code)
-                if m:
-                    task_fns.add(m.group("name"))
-                m = RE_OTHER_DECL.match(code)
-                if m:
-                    other_fns.add(m.group("name"))
-        self._task_fns = task_fns - other_fns - _STD_COLLISIONS
+    description = ("flags capturing coroutine lambdas and capturing "
+                   "lambdas spawned as tasks")
 
     def visit(self, sf, tokens):
         if not sf.in_dir("src"):
@@ -177,16 +139,4 @@ class CoroCaptureRule:
                        "spawned-capture")
             # Do not skip the body: nested lambdas are scanned too.
             k += 1
-
-        # Discarded Task: bare statement call of a Task-returning function.
-        for idx, code in enumerate(sf.code_lines):
-            m = RE_BARE_CALL.match(code)
-            if (m and m.group("name") in self._task_fns
-                    and "co_await" not in code and "spawn" not in code
-                    and code.count("(") == code.count(")")):
-                report(idx + 1,
-                       f"result of Task-returning '{m.group('name')}' "
-                       "discarded: an unawaited Task never runs; co_await "
-                       "it or hand it to Engine::spawn",
-                       "discarded-task")
         return findings

@@ -6,7 +6,8 @@ src/ (except common/rng.hpp, the one sanctioned randomness source):
 
   wall-clock      std::chrono::{system,steady,high_resolution}_clock::now(),
                   time(nullptr)-style calls, std::clock(), gettimeofday()
-  ambient-rng     rand(), srand(), random_device, random_shuffle, drand48
+  ambient-rng     rand(), srand(), random(), drand48(), lrand48(),
+                  mrand48(), random_device, random_shuffle
   hash-order-iter range-for over a std::unordered_{map,set,multimap,multiset}
                   variable: iteration order varies across libstdc++ versions
                   and ASLR runs, so anything it feeds (JSON, metrics,
@@ -38,7 +39,10 @@ _BANNED_CALLS = {
     "gettimeofday": "wall-clock gettimeofday() call",
     "rand": "ambient rand(): seed an explicit vmstorm::Rng instead",
     "srand": "ambient srand(): seed an explicit vmstorm::Rng instead",
+    "random": "ambient random(): seed an explicit vmstorm::Rng instead",
     "drand48": "ambient drand48(): seed an explicit vmstorm::Rng instead",
+    "lrand48": "ambient lrand48(): seed an explicit vmstorm::Rng instead",
+    "mrand48": "ambient mrand48(): seed an explicit vmstorm::Rng instead",
 }
 _BANNED_IDS = {
     "random_device": "std::random_device is nondeterministic by design; "

@@ -1,16 +1,15 @@
 """determinism-taint: host-observable values must not reach deterministic
 sinks.
 
-PR 7 made the host/sim boundary *structural* — Registry::host_gauge lives
-in a scope that to_json() (the seed-deterministic export) never touches —
-but only the runtime double-run tests enforced it. This rule is the static
-proof: the interprocedural taint analysis (dataflow.py, kind "host" in
-taint.toml) labels every value derived from SelfProfiler::wall_now(), RSS
-reads, getenv or a host_gauge, follows it through returns, arguments and
-member stores, and reports when it reaches
+The metrics Registry, the trace and the bench fingerprints are same-seed
+byte-identical artifacts; the runtime double-run tests check that, and
+this rule is the static proof: the interprocedural taint analysis
+(dataflow.py, kind "host" in taint.toml) labels every value derived from
+SelfProfiler::wall_now(), RSS reads or getenv, follows it through returns,
+arguments and member stores, and reports when it reaches
 
-  metric-write    a .set/.add/.record on a deterministic Registry handle
-                  (host_gauge receivers are the sanctioned scope)
+  metric-write    a .set/.add/.record on a Registry handle (the Registry
+                  holds only deterministic metrics)
   sim-schedule    an Engine::schedule_at time
   fingerprint     a Report::config entry (feeds the BENCH_*.json
                   config fingerprint)
@@ -30,8 +29,8 @@ from core import Finding
 
 class DeterminismTaintRule:
     name = "determinism-taint"
-    description = ("host taint (wall clock, RSS, env, host gauges) reaching "
-                   "a deterministic sink (metrics, schedule times, "
+    description = ("host taint (wall clock, RSS, env) reaching a "
+                   "deterministic sink (metrics, schedule times, "
                    "fingerprints, trace payloads)")
 
     def prepare(self, project):

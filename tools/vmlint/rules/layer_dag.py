@@ -10,10 +10,16 @@ data change, reviewed as such, not a lint-code change.
 The rule checks every `#include "first_segment/..."` in src/<layer>/
 against the table: the edge is legal if first_segment is the layer itself
 or one of its declared deps, or the (layer, include) pair is listed under
-[[exceptions]]. Includes of unknown first segments (std headers via
-quotes, same-directory includes without a layer prefix) are ignored —
-header-hygiene enforces the `layer/file.hpp` include style separately.
+[[exceptions]]. Qualified includes of unknown first segments are ignored.
 The table itself is validated to be acyclic at load time.
+
+  unqualified-include  a quoted include without a layer prefix anywhere
+                       in src/ ("sim/task.hpp", never "task.hpp"): the DAG
+                       check cannot see which layer it reaches, and the
+                       include graph turns ambiguous under -I src
+
+Whether a header is guarded and whether its includes resolve is proven by
+compiling it: vmstorm_header_check (ctest vmlint_header_selfcontained).
 """
 
 import os
@@ -76,25 +82,31 @@ class LayerDagRule:
     def visit(self, sf, tokens):
         if not sf.in_dir("src"):
             return []
-        parts = sf.rel.split("/")
-        if len(parts) < 3:  # src/<file> — not in a layer directory
-            return []
-        layer = parts[1]
-        if layer not in self._deps:
-            return [Finding(self.name, sf.rel, 1,
-                            f"directory src/{layer}/ is not declared in "
-                            "tools/vmlint/layers.toml; add it with its "
-                            "allowed deps")]
-        allowed = self._deps[layer] | {layer}
         findings = []
+        parts = sf.rel.split("/")
+        layer = parts[1] if len(parts) >= 3 else None  # None: src/<file>
+        if layer is not None and layer not in self._deps:
+            findings.append(Finding(
+                self.name, sf.rel, 1,
+                f"directory src/{layer}/ is not declared in "
+                "tools/vmlint/layers.toml; add it with its allowed deps"))
+            layer = None
+        allowed = self._deps[layer] | {layer} if layer is not None else set()
         for idx, line in enumerate(sf.lines):
             m = RE_INCLUDE.match(line)
             if not m:
                 continue
             inc = m.group("path")
+            if "/" not in inc:
+                findings.append(Finding(
+                    self.name, sf.rel, idx + 1,
+                    f"unqualified include \"{inc}\": project includes are "
+                    "layer-qualified (\"<layer>/<file>\") so the layer DAG "
+                    "can check them", subrule="unqualified-include"))
+                continue
             first = inc.split("/", 1)[0]
-            if "/" not in inc or first not in self._deps:
-                continue  # not a layer-qualified project include
+            if layer is None or first not in self._deps:
+                continue
             if first in allowed or (layer, inc) in self._exceptions:
                 continue
             findings.append(Finding(

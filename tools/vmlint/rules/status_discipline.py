@@ -1,10 +1,11 @@
 """status-discipline: the tools/lint_status.py checks, ported to vmlint.
 
-The compiler already enforces most Status discipline through [[nodiscard]]
-on Status/Result/Task; these sub-rules catch what slips through the type
-system. Ported verbatim in spirit from the retired tools/lint_status.py,
-now running on the shared tokenizer's masked lines (so block comments and
-raw strings can no longer false-positive). Legacy `// lint:allow(<rule>)`
+The compiler enforces the rest of Status discipline: Status, Result and
+Task are [[nodiscard]] and the build compiles with -Werror=unused-result,
+so a bare discarding call does not build. These sub-rules catch what the
+type system lets through. Ported verbatim in spirit from the retired
+tools/lint_status.py, now running on the shared tokenizer's masked lines
+(so block comments and raw strings can no longer false-positive). Legacy `// lint:allow(<rule>)`
 escapes keep working — the framework treats them as vmlint:allow.
 
   raw-waiter-container   vector/deque of raw std::coroutine_handle<>.
@@ -13,10 +14,8 @@ escapes keep working — the framework treats them as vmlint:allow.
                          must never be resumed). The type system cannot
                          stop a stored raw handle from being resumed
                          directly with .resume(), bypassing the engine.
-  void-suppressed-status (void)-cast of a call returning Status/Result.
-  discarded-status       bare statement call of a Status/Result-returning
-                         function (reached through a reference or macro
-                         the compiler cannot see through).
+  void-suppressed-status (void)-cast of a call returning Status/Result:
+                         the one discard the compiler accepts.
   naked-value            Result<T>::value()/value_unchecked()/check() in
                          library code without a preceding is_ok()/
                          truthiness guard.
@@ -44,8 +43,6 @@ RE_DECL_STATUS_FN = re.compile(
 RE_DECL_VOID_FN = re.compile(
     r"^\s*(?:virtual\s+|static\s+|inline\s+|constexpr\s+)*"
     r"void\s+(?P<name>\w+)\s*\(")
-RE_BARE_CALL = re.compile(
-    r"^\s*(?:\w+(?:\.|->))?(?P<name>\w+)\s*\([^;]*\)\s*;\s*$")
 RE_VOID_CAST_CALL = re.compile(
     r"\(void\)\s*(?:\w+(?:\.|->))*(?P<name>\w+)\s*\(")
 
@@ -55,8 +52,6 @@ MESSAGES = {
         "records and wake them via Engine::schedule_at",
     "void-suppressed-status":
         "(void)-cast discards a Status/Result; handle or propagate it",
-    "discarded-status":
-        "bare call discards a Status/Result return value",
     "naked-value":
         "Result::value() without a preceding is_ok()/truthiness guard",
 }
@@ -74,8 +69,8 @@ def _has_value_guard(code_lines, idx):
 
 class StatusDisciplineRule:
     name = "status-discipline"
-    description = ("Status/Result discard, unguarded Result::value(), and "
-                   "raw coroutine-waiter lifetime checks")
+    description = ("(void)-discarded Status/Result, unguarded "
+                   "Result::value(), and raw coroutine-waiter containers")
 
     def prepare(self, project):
         """Names of src-header functions returning Status/Result, minus any
@@ -114,14 +109,6 @@ class StatusDisciplineRule:
             m = RE_VOID_CAST_CALL.search(code)
             if m and m.group("name") in self._registry:
                 report(idx, "void-suppressed-status", m.group("name"))
-
-            m = RE_BARE_CALL.match(code)
-            if (m and m.group("name") in self._registry
-                    and "co_await" not in code and "co_yield" not in code
-                    and code.count("(") == code.count(")")):
-                # Unbalanced parens = continuation of a multi-line macro
-                # call, not a bare statement.
-                report(idx, "discarded-status", m.group("name"))
 
             if RE_VALUE.search(code) and not _has_value_guard(
                     sf.code_lines, idx):

@@ -6,9 +6,9 @@
 find_program(VMSTORM_PYTHON3 python3)
 if(VMSTORM_PYTHON3)
   set(VMSTORM_VMLINT_RULES
-      determinism coro-capture layer-dag status-discipline header-hygiene
+      determinism coro-capture layer-dag status-discipline
       lock-across-await hot-path-alloc span-coverage
-      determinism-taint rng-flow env-read-discipline)
+      determinism-taint env-read-discipline)
   foreach(_rule IN LISTS VMSTORM_VMLINT_RULES)
     string(REPLACE "-" "_" _rule_id "${_rule}")
     add_test(NAME vmlint_${_rule_id}
@@ -23,11 +23,11 @@ else()
   message(STATUS "python3 not found: vmlint tests not registered")
 endif()
 
-# ---- Header self-containment (the compiled half of header-hygiene) ----------
+# ---- Header self-containment ------------------------------------------------
 # One generated TU per src/**/*.hpp that includes the header twice: compiling
-# the target proves every header is self-contained and idempotent. The TUs
-# are only regenerated when their content changes, so no-op reconfigures do
-# not trigger rebuilds.
+# the target proves every header is self-contained, guarded (#pragma once)
+# and that each of its includes resolves. The TUs are only regenerated when
+# their content changes, so no-op reconfigures do not trigger rebuilds.
 file(GLOB_RECURSE _vmlint_headers RELATIVE ${CMAKE_SOURCE_DIR}/src
      CONFIGURE_DEPENDS ${CMAKE_SOURCE_DIR}/src/*.hpp)
 set(_vmlint_hdr_tus "")
@@ -50,7 +50,8 @@ endforeach()
 add_library(vmstorm_header_check OBJECT EXCLUDE_FROM_ALL ${_vmlint_hdr_tus})
 target_link_libraries(vmstorm_header_check PRIVATE vmstorm_common)
 # The TUs are independent, so the build uses every core; PROCESSORS tells
-# `ctest -j` to reserve them, so the check is not oversubscribed.
+# `ctest -j` to reserve them, so the check is not oversubscribed. The lock
+# keeps it from running beside the compile-fail builds in the same tree.
 cmake_host_system_information(RESULT _vmlint_jobs
                               QUERY NUMBER_OF_LOGICAL_CORES)
 add_test(NAME vmlint_header_selfcontained
@@ -58,4 +59,5 @@ add_test(NAME vmlint_header_selfcontained
                  --target vmstorm_header_check --config $<CONFIG>
                  --parallel ${_vmlint_jobs})
 set_tests_properties(vmlint_header_selfcontained
-                     PROPERTIES PROCESSORS ${_vmlint_jobs})
+                     PROPERTIES PROCESSORS ${_vmlint_jobs}
+                                RESOURCE_LOCK vmstorm_build_tree)

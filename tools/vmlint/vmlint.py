@@ -13,11 +13,10 @@ when clean, 1 on findings (or, with --strict, stale baseline/budget
 entries), 2 on usage/configuration errors.
 
   --rules         comma-separated subset (default: all). Token rules:
-                  determinism, coro-capture, layer-dag, status-discipline,
-                  header-hygiene. Call-graph rules (cross-TU, see
-                  callgraph.py): lock-across-await, hot-path-alloc,
-                  span-coverage, determinism-taint, rng-flow,
-                  env-read-discipline.
+                  determinism, coro-capture, layer-dag, status-discipline.
+                  Call-graph rules (cross-TU, see callgraph.py):
+                  lock-across-await, hot-path-alloc, span-coverage,
+                  determinism-taint, env-read-discipline.
   --baseline      grandfathered-findings file
                   (default: tools/vmlint/baseline.txt under --root)
   --fix-baseline  rewrite the baseline from current findings and exit 0
