@@ -55,7 +55,6 @@ struct ArmResult {
   std::uint64_t trace_recorded = 0;
   std::uint64_t trace_dropped_ring = 0;
   std::uint64_t trace_dropped_sampling = 0;
-  std::uint64_t trace_dropped_stray_end = 0;
 };
 
 /// sample_rate < 0: tracing off. 1.0: full. (0,1): sampled.
@@ -94,7 +93,6 @@ Result<ArmResult> run_arm(const std::string& name,
   r.trace_recorded = tr.recorded_total();
   r.trace_dropped_ring = tr.dropped_ring();
   r.trace_dropped_sampling = tr.dropped_sampling();
-  r.trace_dropped_stray_end = tr.dropped_stray_end();
   // VmHWM is a process-wide peak: arms run off -> sampled -> full so a
   // later arm's number includes everything before it. Comparisons between
   // arms are therefore one-sided (full >= sampled >= off by construction).
@@ -292,7 +290,6 @@ int run() {
   w.key("recorded").value(full.trace_recorded);
   w.key("dropped_ring").value(full.trace_dropped_ring);
   w.key("dropped_sampling").value(full.trace_dropped_sampling);
-  w.key("dropped_stray_end").value(full.trace_dropped_stray_end);
   w.end_object();
   w.end_object();
   // Host section: wall clock and RSS, different every run by nature.
@@ -308,7 +305,6 @@ int run() {
     w.key("recorded").value(a.trace_recorded);
     w.key("dropped_ring").value(a.trace_dropped_ring);
     w.key("dropped_sampling").value(a.trace_dropped_sampling);
-    w.key("dropped_stray_end").value(a.trace_dropped_stray_end);
     w.end_object();
     w.key("phases");
     write_phases(w, a.prof);

@@ -831,11 +831,6 @@ void Cloud::collect_metrics() {
   reg.gauge("cloud.instances").set(as_d(instances_.size()));
   reg.gauge("cloud.repository_bytes").set(as_d(repository_bytes()));
 
-  // Trace health: nonzero pairing errors or dangling begins mean the span
-  // instrumentation regressed somewhere.
-  reg.gauge("trace.pairing_errors").set(as_d(obs_.trace.pairing_errors()));
-  reg.gauge("trace.open_begins").set(as_d(obs_.trace.open_begins()));
-
   // Trace volume accounting: what was recorded vs dropped, by cause. The
   // ring/sampling decisions are deterministic (capacity + seed-derived),
   // so these stay in the fingerprinted export too.
@@ -843,13 +838,6 @@ void Cloud::collect_metrics() {
   reg.gauge("trace.dropped").set(as_d(obs_.trace.dropped_total()));
   reg.gauge("trace.dropped_ring").set(as_d(obs_.trace.dropped_ring()));
   reg.gauge("trace.dropped_sampling").set(as_d(obs_.trace.dropped_sampling()));
-  reg.gauge("trace.dropped_stray_end")
-      .set(as_d(obs_.trace.dropped_stray_end()));
-  // Lane of the first stray end() (-1 while the trace is pairing-clean):
-  // turns "a pairing bug exists" into "start looking at this lane".
-  reg.gauge("trace.first_stray_lane")
-      .set(obs_.trace.has_stray_end() ? as_d(obs_.trace.first_stray_lane())
-                                      : -1.0);
 
   if (obs_.timeline.enabled()) {
     reg.gauge("timeline.samples_taken")

@@ -1,7 +1,7 @@
 #include "obs/critpath.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <tuple>
@@ -410,185 +410,64 @@ std::string attribution_table(const CritReport& report) {
 
 namespace {
 
-/// Minimal JSON cursor for one jsonl line. Only the shapes the tracer emits
-/// are fully materialized (flat object, string/number scalars, one nested
-/// "args" object); anything else is skipped structurally.
-class LineParser {
- public:
-  explicit LineParser(std::string_view line)
-      : start_(line.data()), p_(line.data()), end_(line.data() + line.size()) {}
+Status bad_event(const std::string& what) {
+  return invalid_argument("trace event: " + what);
+}
 
-  Status parse_event(TraceEvent* ev) {
-    skip_ws();
-    if (!consume('{')) return fail("expected '{'");
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (consume('}')) break;
-      if (!first && !consume(',')) return fail("expected ',' or '}'");
-      first = false;
-      skip_ws();
-      std::string key;
-      VMSTORM_RETURN_IF_ERROR(parse_string(&key));
-      skip_ws();
-      if (!consume(':')) return fail("expected ':'");
-      skip_ws();
-      VMSTORM_RETURN_IF_ERROR(parse_field(key, ev));
-    }
-    skip_ws();
-    if (p_ != end_) return fail("trailing bytes after event object");
-    return Status::ok();
+/// Maps one parsed line to a TraceEvent. Accepts exactly what
+/// Tracer::jsonl() writes: string name/cat, ph "X"/"s"/"f", numeric ts,
+/// dur on 'X' events only, a uint32 lane, optional uint64 id/parent/span,
+/// and an optional flat args object of strings and numbers.
+Status read_event(const JsonValue& v, TraceEvent* ev) {
+  if (!v.is_object()) return bad_event("not a JSON object");
+  for (const char* key : {"name", "cat", "ph", "ts", "lane"}) {
+    if (v.find(key) == nullptr) return bad_event(std::string("missing ") + key);
   }
-
- private:
-  Status fail(const std::string& msg) const {
-    return invalid_argument("trace jsonl: " + msg + " at offset " +
-                            std::to_string(p_ - start_));
-  }
-
-  void skip_ws() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t')) ++p_;
-  }
-  bool consume(char c) {
-    if (p_ != end_ && *p_ == c) {
-      ++p_;
-      return true;
-    }
-    return false;
-  }
-
-  Status parse_string(std::string* out) {
-    if (!consume('"')) return fail("expected string");
-    out->clear();
-    while (p_ != end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c != '\\') {
-        *out += c;
-        continue;
+  for (const auto& [key_str, val] : v.members()) {
+    const std::string_view key = key_str;  // size-first literal compares
+    if (key == "name" || key == "cat") {
+      if (!val.is_string()) return bad_event(key_str + " is not a string");
+      (key == "name" ? ev->name : ev->cat) = val.as_string();
+    } else if (key == "ph") {
+      const std::string& ph = val.as_string();
+      if (ph != "X" && ph != "s" && ph != "f") {
+        return bad_event("ph is not \"X\", \"s\" or \"f\"");
       }
-      if (p_ == end_) return fail("dangling escape");
-      char e = *p_++;
-      switch (e) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'n': *out += '\n'; break;
-        case 'r': *out += '\r'; break;
-        case 't': *out += '\t'; break;
-        case 'u': {
-          if (end_ - p_ < 4) return fail("short \\u escape");
-          unsigned code = 0;
-          auto [ptr, ec] = std::from_chars(p_, p_ + 4, code, 16);
-          if (ec != std::errc() || ptr != p_ + 4) {
-            return fail("bad \\u escape");
-          }
-          p_ += 4;
-          if (code > 0x7f) return fail("non-ASCII \\u escape unsupported");
-          *out += static_cast<char>(code);
-          break;
-        }
-        default: return fail("unknown escape");
-      }
-    }
-    if (!consume('"')) return fail("unterminated string");
-    return Status::ok();
-  }
-
-  /// Numbers are captured as a token; integer-looking tokens additionally
-  /// yield an exact uint64 so span ids survive the round trip.
-  Status parse_number(double* d, std::uint64_t* u, bool* is_uint) {
-    const char* start = p_;
-    while (p_ != end_ &&
-           (*p_ == '-' || *p_ == '+' || *p_ == '.' || *p_ == 'e' ||
-            *p_ == 'E' || (*p_ >= '0' && *p_ <= '9'))) {
-      ++p_;
-    }
-    if (p_ == start) return fail("expected number");
-    const std::string_view tok(start, static_cast<std::size_t>(p_ - start));
-    *is_uint = tok.find_first_not_of("0123456789") == std::string_view::npos;
-    if (*is_uint) {
-      auto [ptr, ec] = std::from_chars(start, p_, *u);
-      if (ec != std::errc() || ptr != p_) return fail("bad integer");
-      *d = static_cast<double>(*u);
-      return Status::ok();
-    }
-    auto [ptr, ec] = std::from_chars(start, p_, *d);
-    if (ec != std::errc() || ptr != p_) return fail("bad number");
-    *u = 0;
-    return Status::ok();
-  }
-
-  Status parse_field(const std::string& key, TraceEvent* ev) {
-    if (key == "name" || key == "cat" || key == "ph") {
-      std::string s;
-      VMSTORM_RETURN_IF_ERROR(parse_string(&s));
-      if (key == "name") {
-        ev->name = std::move(s);
-      } else if (key == "cat") {
-        ev->cat = std::move(s);
-      } else {
-        if (s.size() != 1) return fail("ph must be one character");
-        ev->phase = s[0];
-      }
-      return Status::ok();
-    }
-    if (key == "args") return parse_args(ev);
-    double d = 0;
-    std::uint64_t u = 0;
-    bool is_uint = false;
-    VMSTORM_RETURN_IF_ERROR(parse_number(&d, &u, &is_uint));
-    if (key == "ts") {
-      ev->ts = d;
-    } else if (key == "dur") {
-      ev->dur = d;
+      ev->phase = ph[0];
+    } else if (key == "ts" || key == "dur") {
+      if (!val.is_number()) return bad_event(key_str + " is not a number");
+      (key == "ts" ? ev->ts : ev->dur) = val.as_number();
     } else if (key == "lane") {
-      ev->lane = static_cast<std::uint32_t>(u);
-    } else if (key == "id") {
-      ev->id = u;
-    } else if (key == "parent") {
-      ev->parent = u;
-    } else if (key == "span") {
-      ev->span = u;
-    }
-    // Unknown numeric keys (e.g. chrome-only fields) are ignored.
-    return Status::ok();
-  }
-
-  Status parse_args(TraceEvent* ev) {
-    if (!consume('{')) return fail("args must be an object");
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (consume('}')) return Status::ok();
-      if (!first && !consume(',')) return fail("expected ',' or '}' in args");
-      first = false;
-      skip_ws();
-      std::string key;
-      VMSTORM_RETURN_IF_ERROR(parse_string(&key));
-      skip_ws();
-      if (!consume(':')) return fail("expected ':' in args");
-      skip_ws();
-      if (p_ != end_ && *p_ == '"') {
-        std::string s;
-        VMSTORM_RETURN_IF_ERROR(parse_string(&s));
-        ev->args.push_back(TraceArg::str(std::move(key), std::move(s)));
-        continue;
+      if (!val.is_uint() || val.as_uint() > UINT32_MAX) {
+        return bad_event("lane is not a uint32");
       }
-      double d = 0;
-      std::uint64_t u = 0;
-      bool is_uint = false;
-      VMSTORM_RETURN_IF_ERROR(parse_number(&d, &u, &is_uint));
-      ev->args.push_back(is_uint ? TraceArg::uint(std::move(key), u)
-                                 : TraceArg::num(std::move(key), d));
+      ev->lane = static_cast<std::uint32_t>(val.as_uint());
+    } else if (key == "id" || key == "parent" || key == "span") {
+      if (!val.is_uint()) return bad_event(key_str + " is not a uint64");
+      (key == "id" ? ev->id : key == "parent" ? ev->parent : ev->span) =
+          val.as_uint();
+    } else if (key == "args") {
+      if (!val.is_object()) return bad_event("args is not an object");
+      for (const auto& [name, arg] : val.members()) {
+        if (arg.is_string()) {
+          ev->args.push_back(TraceArg::str(name, arg.as_string()));
+        } else if (arg.is_uint()) {
+          ev->args.push_back(TraceArg::uint(name, arg.as_uint()));
+        } else if (arg.is_number()) {
+          ev->args.push_back(TraceArg::num(name, arg.as_number()));
+        } else {
+          return bad_event("arg " + name + " is not a string or number");
+        }
+      }
+    } else {
+      return bad_event("unexpected " + key_str);
     }
   }
-
-  const char* start_;
-  const char* p_;
-  const char* end_;
-};
+  if ((v.find("dur") != nullptr) != (ev->phase == 'X')) {
+    return bad_event("dur must be present on X events and only there");
+  }
+  return Status::ok();
+}
 
 }  // namespace
 
@@ -603,8 +482,9 @@ Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text) {
     pos = nl + 1;
     ++line_no;
     if (line.empty()) continue;
+    Result<JsonValue> doc = parse_json(line);
     TraceEvent ev;
-    Status st = LineParser(line).parse_event(&ev);
+    Status st = doc.is_ok() ? read_event(*doc, &ev) : doc.status();
     if (!st.is_ok()) {
       return Status(st.code(), "line " + std::to_string(line_no) + ": " +
                                    st.message());

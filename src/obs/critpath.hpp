@@ -92,6 +92,8 @@ std::string attribution_table(const CritReport& report);
 /// Parses a tracer jsonl() export back into events, so `vmstormctl
 /// critpath` reproduces in-process attribution byte-for-byte (numbers are
 /// round-tripped through shortest-form representation on both sides).
+/// Each line goes through parse_json; a line that is not exactly what
+/// jsonl() writes is refused with a "line N: " status.
 Result<std::vector<TraceEvent>> parse_trace_jsonl(std::string_view text);
 
 }  // namespace vmstorm::obs

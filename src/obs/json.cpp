@@ -162,12 +162,12 @@ const std::vector<JsonValue>& JsonValue::items() const {
 }
 
 const JsonValue::Members& JsonValue::members() const {
-  return is_object() && members_ ? *members_ : kEmptyMembers;
+  return is_object() ? members_ : kEmptyMembers;
 }
 
 const JsonValue* JsonValue::find(std::string_view key) const {
-  if (!is_object() || !members_) return nullptr;
-  for (const auto& [k, v] : *members_) {
+  if (!is_object()) return nullptr;
+  for (const auto& [k, v] : members_) {
     if (k == key) return &v;
   }
   return nullptr;
@@ -178,57 +178,23 @@ const JsonValue& JsonValue::operator[](std::string_view key) const {
   return v != nullptr ? *v : kNullValue;
 }
 
-JsonValue JsonValue::make_bool(bool b) {
-  JsonValue v;
-  v.kind_ = Kind::kBool;
-  v.flag_ = b;
-  return v;
-}
-
-JsonValue JsonValue::make_number(double value) {
-  JsonValue v;
-  v.kind_ = Kind::kNumber;
-  v.number_ = value;
-  return v;
-}
-
-JsonValue JsonValue::make_string(std::string s) {
-  JsonValue v;
-  v.kind_ = Kind::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::make_array(std::vector<JsonValue> items) {
-  JsonValue v;
-  v.kind_ = Kind::kArray;
-  v.items_ = std::move(items);
-  return v;
-}
-
-JsonValue JsonValue::make_object(Members members) {
-  JsonValue v;
-  v.kind_ = Kind::kObject;
-  v.members_ = std::make_shared<Members>(std::move(members));
-  return v;
-}
-
-namespace {
-
-/// Recursive-descent JSON parser over a string_view. Strict: exactly the
-/// RFC 8259 grammar, bounded nesting, whole-input consumption.
+/// Recursive-descent JSON parser over a string_view that builds each value
+/// in place. Strict: exactly the RFC 8259 grammar, unique member names,
+/// bounded nesting, whole-input consumption.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   Result<JsonValue> parse() {
-    VMSTORM_ASSIGN_OR_RETURN(v, parse_value(0));
+    JsonValue v;
+    VMSTORM_RETURN_IF_ERROR(parse_value(0, &v));
     skip_ws();
     if (pos_ != text_.size()) return fail("trailing characters after document");
     return v;
   }
 
  private:
+  using Kind = JsonValue::Kind;
   static constexpr int kMaxDepth = 64;
 
   Status fail(const std::string& what) const {
@@ -252,102 +218,104 @@ class JsonParser {
     return false;
   }
 
-  bool consume_word(std::string_view w) {
-    if (text_.substr(pos_, w.size()) != w) return false;
-    pos_ += w.size();
-    return true;
+  Status parse_literal(std::string_view word, Kind kind, bool flag,
+                       JsonValue* out) {
+    if (text_.substr(pos_, word.size()) != word) return fail("invalid literal");
+    pos_ += word.size();
+    out->kind_ = kind;
+    out->flag_ = flag;
+    return Status::ok();
   }
 
-  Result<JsonValue> parse_value(int depth) {
+  Status parse_value(int depth, JsonValue* out) {
     if (depth > kMaxDepth) return fail("nesting too deep");
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': {
-        VMSTORM_ASSIGN_OR_RETURN(s, parse_string());
-        return JsonValue::make_string(std::move(s));
-      }
-      case 't':
-        if (consume_word("true")) return JsonValue::make_bool(true);
-        return fail("invalid literal");
-      case 'f':
-        if (consume_word("false")) return JsonValue::make_bool(false);
-        return fail("invalid literal");
-      case 'n':
-        if (consume_word("null")) return JsonValue::make_null();
-        return fail("invalid literal");
-      default: return parse_number();
+      case '{': return parse_object(depth, out);
+      case '[': return parse_array(depth, out);
+      case '"':
+        out->kind_ = Kind::kString;
+        return parse_string(&out->string_);
+      case 't': return parse_literal("true", Kind::kBool, true, out);
+      case 'f': return parse_literal("false", Kind::kBool, false, out);
+      case 'n': return parse_literal("null", Kind::kNull, false, out);
+      default: return parse_number(out);
     }
   }
 
-  Result<JsonValue> parse_object(int depth) {
+  Status parse_object(int depth, JsonValue* out) {
     ++pos_;  // '{'
-    JsonValue::Members members;
+    out->kind_ = Kind::kObject;
+    JsonValue::Members& members = out->members_;
+    // A document is most often one flat record (a trace line). Sizing the
+    // top-level object once spares each parse a chain of regrowths whose
+    // freed buffers would scatter the caller's own allocations.
+    if (depth == 0) members.reserve(16);
     skip_ws();
-    if (consume('}')) return JsonValue::make_object(std::move(members));
+    if (consume('}')) return Status::ok();
     while (true) {
       skip_ws();
       if (pos_ >= text_.size() || text_[pos_] != '"') {
         return fail("expected object key");
       }
-      VMSTORM_ASSIGN_OR_RETURN(key, parse_string());
+      std::string key;
+      VMSTORM_RETURN_IF_ERROR(parse_string(&key));
+      for (const auto& member : members) {
+        if (member.first == key) return fail("duplicate key \"" + key + "\"");
+      }
       skip_ws();
       if (!consume(':')) return fail("expected ':' after key");
-      VMSTORM_ASSIGN_OR_RETURN(v, parse_value(depth + 1));
-      members.emplace_back(std::move(key), std::move(v));
+      members.emplace_back(std::move(key), JsonValue());
+      VMSTORM_RETURN_IF_ERROR(parse_value(depth + 1, &members.back().second));
       skip_ws();
       if (consume(',')) continue;
-      if (consume('}')) return JsonValue::make_object(std::move(members));
+      if (consume('}')) return Status::ok();
       return fail("expected ',' or '}' in object");
     }
   }
 
-  Result<JsonValue> parse_array(int depth) {
+  Status parse_array(int depth, JsonValue* out) {
     ++pos_;  // '['
-    std::vector<JsonValue> items;
+    out->kind_ = Kind::kArray;
+    std::vector<JsonValue>& items = out->items_;
     skip_ws();
-    if (consume(']')) return JsonValue::make_array(std::move(items));
+    if (consume(']')) return Status::ok();
     while (true) {
-      VMSTORM_ASSIGN_OR_RETURN(v, parse_value(depth + 1));
-      items.push_back(std::move(v));
+      VMSTORM_RETURN_IF_ERROR(parse_value(depth + 1, &items.emplace_back()));
       skip_ws();
       if (consume(',')) continue;
-      if (consume(']')) return JsonValue::make_array(std::move(items));
+      if (consume(']')) return Status::ok();
       return fail("expected ',' or ']' in array");
     }
   }
 
-  Result<std::string> parse_string() {
+  Status parse_string(std::string* out) {
     ++pos_;  // opening '"'
-    std::string out;
     while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return out;
+      // Copy the run of plain characters in one go.
+      std::size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\' &&
+             static_cast<unsigned char>(text_[end]) >= 0x20) {
+        ++end;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        ++pos_;
-        continue;
-      }
-      ++pos_;
+      out->append(text_, pos_, end - pos_);
+      pos_ = end;
+      if (pos_ >= text_.size()) break;
+      const char c = text_[pos_++];
+      if (c == '"') return Status::ok();
+      if (c != '\\') return fail("unescaped control character in string");
       if (pos_ >= text_.size()) return fail("truncated escape");
       const char esc = text_[pos_++];
       switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
+        case '"': *out += '"'; break;
+        case '\\': *out += '\\'; break;
+        case '/': *out += '/'; break;
+        case 'b': *out += '\b'; break;
+        case 'f': *out += '\f'; break;
+        case 'n': *out += '\n'; break;
+        case 'r': *out += '\r'; break;
+        case 't': *out += '\t'; break;
         case 'u': {
           if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
           unsigned code = 0;
@@ -362,14 +330,14 @@ class JsonParser {
           // UTF-8 encode the BMP code point (surrogate pairs unsupported —
           // the writer only ever emits \u00XX control escapes).
           if (code < 0x80) {
-            out += static_cast<char>(code);
+            *out += static_cast<char>(code);
           } else if (code < 0x800) {
-            out += static_cast<char>(0xc0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3f));
+            *out += static_cast<char>(0xc0 | (code >> 6));
+            *out += static_cast<char>(0x80 | (code & 0x3f));
           } else {
-            out += static_cast<char>(0xe0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (code & 0x3f));
+            *out += static_cast<char>(0xe0 | (code >> 12));
+            *out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+            *out += static_cast<char>(0x80 | (code & 0x3f));
           }
           break;
         }
@@ -379,33 +347,55 @@ class JsonParser {
     return fail("unterminated string");
   }
 
-  Result<JsonValue> parse_number() {
+  bool at_digit() const {
+    return pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9';
+  }
+
+  /// Consumes one or more digits; false when there are none.
+  bool digits() {
+    if (!at_digit()) return false;
+    while (at_digit()) ++pos_;
+    return true;
+  }
+
+  /// number = [ "-" ] ( "0" / digit1-9 *DIGIT ) [ "." 1*DIGIT ]
+  ///          [ ( "e" / "E" ) [ "+" / "-" ] 1*DIGIT ]
+  Status parse_number(JsonValue* out) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' ||
-          c == '+' || c == '-') {
-        ++pos_;
-      } else {
-        break;
+    const bool negative = consume('-');
+    if (!at_digit()) {
+      return fail(negative ? "malformed number" : "expected a value");
+    }
+    if (!consume('0')) digits();
+    const bool integer = !(pos_ < text_.size() &&
+                           (text_[pos_] == '.' || text_[pos_] == 'e' ||
+                            text_[pos_] == 'E'));
+    if (consume('.') && !digits()) return fail("malformed number");
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
+      if (!digits()) return fail("malformed number");
+    }
+    if (at_digit()) return fail("malformed number");  // a leading zero: "01"
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    out->kind_ = Kind::kNumber;
+    if (integer && !negative) {
+      const auto [end, ec] = std::from_chars(first, last, out->uint_);
+      if (ec == std::errc() && end == last) {
+        out->flag_ = true;
+        out->number_ = static_cast<double>(out->uint_);
+        return Status::ok();
       }
+      out->uint_ = 0;
     }
-    if (pos_ == start) return fail("expected a value");
-    double v = 0;
-    const auto [end, ec] =
-        std::from_chars(text_.data() + start, text_.data() + pos_, v);
-    if (ec != std::errc() || end != text_.data() + pos_) {
-      return fail("malformed number");
-    }
-    return JsonValue::make_number(v);
+    const auto [end, ec] = std::from_chars(first, last, out->number_);
+    if (ec != std::errc() || end != last) return fail("malformed number");
+    return Status::ok();
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
 };
-
-}  // namespace
 
 Result<JsonValue> parse_json(std::string_view text) {
   return JsonParser(text).parse();

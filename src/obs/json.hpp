@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -66,8 +65,9 @@ class JsonWriter {
 };
 
 /// Parsed JSON document node. The read-side complement of JsonWriter, used
-/// to load artifacts back (vmstormctl engine-stats over BENCH_engine.json).
-/// Object members keep source order; lookup is linear — artifacts are small.
+/// to load artifacts and traces back (vmstormctl engine-stats, timeline,
+/// critpath). Object members keep source order; lookup is linear —
+/// artifacts are small and trace lines are flat.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -88,6 +88,11 @@ class JsonValue {
   /// renderers can chase optional paths without branching at every level.
   bool as_bool() const { return is_bool() && flag_; }
   double as_number() const { return is_number() ? number_ : 0.0; }
+  /// Exact value of a plain non-negative integer token ("0", "42") that
+  /// fits in uint64_t — span ids past 2^53 survive where as_number() would
+  /// round. False/0 for every other number form ("-1", "1.0", "1e3").
+  bool is_uint() const { return is_number() && flag_; }
+  std::uint64_t as_uint() const { return is_uint() ? uint_ : 0; }
   const std::string& as_string() const;
   const std::vector<JsonValue>& items() const;
   const Members& members() const;
@@ -98,25 +103,21 @@ class JsonValue {
   /// v["overhead"]["arms"] never dereferences null.
   const JsonValue& operator[](std::string_view key) const;
 
-  static JsonValue make_null() { return JsonValue(); }
-  static JsonValue make_bool(bool b);
-  static JsonValue make_number(double v);
-  static JsonValue make_string(std::string s);
-  static JsonValue make_array(std::vector<JsonValue> items);
-  static JsonValue make_object(Members members);
-
  private:
+  friend class JsonParser;  // parse_json builds values in place
+
   Kind kind_ = Kind::kNull;
-  bool flag_ = false;
+  bool flag_ = false;  // kBool: the value; kNumber: uint_ is exact
   double number_ = 0;
+  std::uint64_t uint_ = 0;
   std::string string_;
   std::vector<JsonValue> items_;
-  std::shared_ptr<Members> members_;  // shared_ptr: JsonValue stays copyable
-                                      // without recursive value layout issues
+  Members members_;
 };
 
-/// Strict recursive-descent parse of a complete JSON document (no trailing
-/// garbage, no comments, bounded nesting depth).
+/// Strict recursive-descent parse of a complete RFC 8259 document: no
+/// trailing garbage, no comments, no duplicate member names, bounded
+/// nesting depth.
 Result<JsonValue> parse_json(std::string_view text);
 
 }  // namespace vmstorm::obs

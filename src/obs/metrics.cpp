@@ -1,20 +1,14 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "obs/json.hpp"
 
 namespace vmstorm::obs {
 
-ExpHistogram::ExpHistogram(HistogramOptions opts)
-    : opts_(opts), counts_(opts.buckets == 0 ? 1 : opts.buckets, 0) {
-  assert(opts_.first_bound > 0 && opts_.growth > 1.0);
-}
-
-double ExpHistogram::bucket_bound(std::size_t i) const {
-  double b = opts_.first_bound;
-  for (std::size_t k = 0; k < i; ++k) b *= opts_.growth;
+double ExpHistogram::bucket_bound(std::size_t i) {
+  double b = kFirstBound;
+  for (std::size_t k = 0; k < i; ++k) b *= kGrowth;
   return b;
 }
 
@@ -28,9 +22,9 @@ void ExpHistogram::record(double x) {
   ++count_;
   sum_ += x;
   std::size_t i = 0;
-  double bound = opts_.first_bound;
+  double bound = kFirstBound;
   while (x > bound && i + 1 < counts_.size()) {
-    bound *= opts_.growth;
+    bound *= kGrowth;
     ++i;
   }
   ++counts_[i];
@@ -59,66 +53,21 @@ double ExpHistogram::percentile(double p) const {
   return max_;
 }
 
-void TimeWeighted::set(double t, double v) {
-  if (!started_) {
-    started_ = true;
-    start_t_ = last_t_ = t;
-    value_ = max_ = v;
-    return;
-  }
-  assert(t >= last_t_ && "time-weighted samples must not go backwards");
-  integral_ += value_ * (t - last_t_);
-  last_t_ = t;
-  value_ = v;
-  max_ = std::max(max_, v);
-}
-
-double TimeWeighted::average(double t_end) const {
-  if (!started_ || t_end <= start_t_) return started_ ? value_ : 0.0;
-  const double span = t_end - start_t_;
-  const double tail = value_ * (t_end - last_t_);
-  return (integral_ + tail) / span;
-}
-
-std::string Registry::encode_key(std::string_view name, const Labels& labels) {
-  std::string key(name);
-  if (labels.empty()) return key;
-  Labels sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  key += '{';
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (i) key += ',';
-    key += sorted[i].first;
-    key += '=';
-    key += sorted[i].second;
-  }
-  key += '}';
-  return key;
-}
-
-Counter& Registry::counter(std::string_view name, const Labels& labels) {
-  auto& slot = counters_[encode_key(name, labels)];
+Counter& Registry::counter(std::string_view name) {
+  auto& slot = counters_[std::string(name)];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
 }
 
-Gauge& Registry::gauge(std::string_view name, const Labels& labels) {
-  auto& slot = gauges_[encode_key(name, labels)];
+Gauge& Registry::gauge(std::string_view name) {
+  auto& slot = gauges_[std::string(name)];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
-ExpHistogram& Registry::histogram(std::string_view name, const Labels& labels,
-                                  HistogramOptions opts) {
-  auto& slot = histograms_[encode_key(name, labels)];
-  if (!slot) slot = std::make_unique<ExpHistogram>(opts);
-  return *slot;
-}
-
-TimeWeighted& Registry::time_weighted(std::string_view name,
-                                      const Labels& labels) {
-  auto& slot = time_weighted_[encode_key(name, labels)];
-  if (!slot) slot = std::make_unique<TimeWeighted>();
+ExpHistogram& Registry::histogram(std::string_view name) {
+  auto& slot = histograms_[std::string(name)];
+  if (!slot) slot = std::make_unique<ExpHistogram>();
   return *slot;
 }
 
@@ -146,15 +95,6 @@ void Registry::write_json(JsonWriter& w) const {
       w.begin_array().value(h->bucket_bound(i)).value(h->bucket(i)).end_array();
     }
     w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  w.key("time_weighted").begin_object();
-  for (const auto& [key, t] : time_weighted_) {
-    w.key(key).begin_object();
-    w.key("last").value(t->value());
-    w.key("max").value(t->max());
-    w.key("avg").value(t->average(t->last_time()));
     w.end_object();
   }
   w.end_object();

@@ -1,5 +1,5 @@
-// Metrics registry: labeled counters, gauges, exponential-bucket latency
-// histograms and time-weighted gauges, with cheap handle-based recording.
+// Metrics registry: counters, gauges and exponential-bucket latency
+// histograms keyed by name, with cheap handle-based recording.
 //
 // Usage pattern (the hot-path contract):
 //   * at construction time a component asks the registry for handles once
@@ -13,21 +13,17 @@
 // behind unique_ptr and never erased).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace vmstorm::obs {
 
 class JsonWriter;
-
-/// Label set attached to a metric, e.g. {{"node","7"},{"dir","tx"}}.
-/// Keys are sorted (and the metric key canonicalized) on registration.
-using Labels = std::vector<std::pair<std::string, std::string>>;
 
 class Counter {
  public:
@@ -48,21 +44,12 @@ class Gauge {
   double value_ = 0;
 };
 
-struct HistogramOptions {
-  /// Upper bound of the first bucket. Defaults suit latencies in seconds:
-  /// 1 µs first bucket, doubling, 48 buckets ≈ 1.4e8 s of range.
-  double first_bound = 1e-6;
-  double growth = 2.0;
-  std::size_t buckets = 48;
-};
-
-/// Exponential-bucket histogram. Bucket i covers (bound(i-1), bound(i)]
-/// with bound(i) = first_bound * growth^i; the last bucket is the
-/// overflow. Exact count/sum/min/max are kept alongside the buckets.
+/// Exponential-bucket histogram sized for latencies in seconds. Bucket i
+/// covers (bound(i-1), bound(i)] with bound(i) = 1 µs * 2^i; 48 buckets
+/// span ≈ 1.4e8 s, and the last one is the overflow. Exact
+/// count/sum/min/max are kept alongside the buckets.
 class ExpHistogram {
  public:
-  explicit ExpHistogram(HistogramOptions opts = HistogramOptions{});
-
   void record(double x);
 
   std::uint64_t count() const { return count_; }
@@ -79,40 +66,18 @@ class ExpHistogram {
 
   std::size_t bucket_count() const { return counts_.size(); }
   std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  double bucket_bound(std::size_t i) const;  // upper bound of bucket i
+  static double bucket_bound(std::size_t i);  // upper bound of bucket i
 
  private:
-  HistogramOptions opts_;
-  std::vector<std::uint64_t> counts_;
+  static constexpr double kFirstBound = 1e-6;
+  static constexpr double kGrowth = 2.0;
+  static constexpr std::size_t kBuckets = 48;
+
+  std::vector<std::uint64_t> counts_ = std::vector<std::uint64_t>(kBuckets);
   std::uint64_t count_ = 0;
   double sum_ = 0;
   double min_ = 0;
   double max_ = 0;
-};
-
-/// Integrates a piecewise-constant value over (simulated) time — queue
-/// depths, in-flight counts. Timestamps are supplied by the caller so the
-/// type stays clock-agnostic and deterministic.
-class TimeWeighted {
- public:
-  /// The tracked value becomes `v` at time `t` (t must not decrease).
-  void set(double t, double v);
-  void add(double t, double dv) { set(t, value_ + dv); }
-
-  double value() const { return value_; }
-  double max() const { return max_; }
-  double last_time() const { return last_t_; }
-
-  /// Time average over [first set, t_end] (0 before any sample).
-  double average(double t_end) const;
-
- private:
-  double integral_ = 0;
-  double start_t_ = 0;
-  double last_t_ = 0;
-  double value_ = 0;
-  double max_ = 0;
-  bool started_ = false;
 };
 
 class Registry {
@@ -121,22 +86,16 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  Counter& counter(std::string_view name, const Labels& labels = {});
-  Gauge& gauge(std::string_view name, const Labels& labels = {});
-  ExpHistogram& histogram(std::string_view name, const Labels& labels = {},
-                          HistogramOptions opts = HistogramOptions{});
-  TimeWeighted& time_weighted(std::string_view name, const Labels& labels = {});
-
-  /// Canonical metric key: name{k1=v1,k2=v2} with labels sorted by key.
-  static std::string encode_key(std::string_view name, const Labels& labels);
+  Counter& counter(std::string_view name);
+  Gauge& gauge(std::string_view name);
+  ExpHistogram& histogram(std::string_view name);
 
   std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size() +
-           time_weighted_.size();
+    return counters_.size() + gauges_.size() + histograms_.size();
   }
 
   /// Serializes every deterministic metric, grouped by kind, in key order:
-  /// {"counters":{...},"gauges":{...},"histograms":{...},"time_weighted":{...}}
+  /// {"counters":{...},"gauges":{...},"histograms":{...}}
   void write_json(JsonWriter& w) const;
   std::string to_json() const;
 
@@ -144,7 +103,6 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<ExpHistogram>> histograms_;
-  std::map<std::string, std::unique_ptr<TimeWeighted>> time_weighted_;
 };
 
 }  // namespace vmstorm::obs

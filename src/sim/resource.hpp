@@ -24,7 +24,7 @@ class FifoServer {
   FifoServer(Engine& engine, BytesPerSecond rate, SimTime fixed_overhead = 0)
       : engine_(&engine), rate_(rate), fixed_overhead_(fixed_overhead) {}
 
-  /// Labels the server's trace output. While the engine's tracer is live,
+  /// Names the server's trace output. While the engine's tracer is live,
   /// every request leaves a "svc" cost event for its service interval and a
   /// "wait" cost event for any time queued behind earlier requests (holder =
   /// the span whose request it queued behind). Unlabeled servers trace

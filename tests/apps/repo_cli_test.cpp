@@ -196,6 +196,32 @@ TEST_F(CliTimeline, RejectsTamperedPhaseTotals) {
   EXPECT_FALSE(r.is_ok());
 }
 
+// `vmstormctl critpath` exits 1 whenever run_repo_cli returns an error.
+TEST(CliCritpath, RefusesMalformedTraceLines) {
+  const std::string path = ::testing::TempDir() + "/cli_critpath_" +
+                           std::to_string(::getpid()) + ".jsonl";
+  const auto run_on = [&path](const std::string& line) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << line << "\n";
+    return run_repo_cli({"critpath", path});
+  };
+  auto ok = run_on(
+      R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":2,"lane":4,"id":1})");
+  ASSERT_TRUE(ok.is_ok()) << ok.status().to_string();
+  EXPECT_NE(ok->find("boot"), std::string::npos);
+  for (const char* bad : {
+           "{}",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":2,"lane":4,"id":1.5})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":2,"lane":4294967297,"id":1})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"ts":1,"dur":2,"lane":4,"id":1})",
+       }) {
+    auto r = run_on(bad);
+    ASSERT_FALSE(r.is_ok()) << "accepted: " << bad;
+    EXPECT_NE(r.status().to_string().find("line 1: "), std::string::npos)
+        << r.status().to_string();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CliParse, Sizes) {
   EXPECT_EQ(parse_size("1024").value(), 1024u);
   EXPECT_EQ(parse_size("256K").value(), 256_KiB);
@@ -230,7 +256,7 @@ std::string write_engine_artifact(const std::string& schema) {
       << R"("queue_depth_high_water":512,"wait_records_created":4000,)"
       << R"("wait_records_live_high_water":256,"cancelled_wakeups":3,)"
       << R"("trace":{"recorded":9000,"dropped_ring":100,)"
-      << R"("dropped_sampling":0,"dropped_stray_end":0}},)"
+      << R"("dropped_sampling":0}},)"
       << R"("overhead":{"arms":[)";
   for (int i = 0; i < 3; ++i) {
     if (i > 0) out << ",";
@@ -238,7 +264,7 @@ std::string write_engine_artifact(const std::string& schema) {
         << R"(,"events_per_sec":)" << 10000.0 / (1.0 + i * 0.25)
         << R"(,"peak_rss_bytes":1048576,)"
         << R"("trace":{"recorded":)" << i * 4500
-        << R"(,"dropped_ring":0,"dropped_sampling":0,"dropped_stray_end":0},)"
+        << R"(,"dropped_ring":0,"dropped_sampling":0},)"
         << R"("phases":{"queue_ops":0.2,"auditor":0.1,"resume":0.5,)"
         << R"("tracer":)" << i * 0.1
         << R"(,"dispatch":0.2,"user_work":0.4}})";

@@ -38,7 +38,6 @@ struct SimSection {
   std::uint64_t trace_recorded = 0;
   std::uint64_t trace_dropped_ring = 0;
   std::uint64_t trace_dropped_sampling = 0;
-  std::uint64_t trace_dropped_stray_end = 0;
 
   bool operator==(const SimSection&) const = default;
 };
@@ -46,7 +45,9 @@ struct SimSection {
 std::uint64_t u64_field(const obs::JsonValue& obj, std::string_view key) {
   const obs::JsonValue* v = obj.find(key);
   EXPECT_NE(v, nullptr) << "baseline sim section is missing \"" << key << '"';
-  return v != nullptr ? static_cast<std::uint64_t>(v->as_number()) : 0;
+  EXPECT_TRUE(v == nullptr || v->is_uint())
+      << "baseline sim field \"" << key << "\" is not an unsigned integer";
+  return v != nullptr ? v->as_uint() : 0;
 }
 
 SimSection baseline_sim() {
@@ -73,7 +74,6 @@ SimSection baseline_sim() {
   s.trace_recorded = u64_field(tr, "recorded");
   s.trace_dropped_ring = u64_field(tr, "dropped_ring");
   s.trace_dropped_sampling = u64_field(tr, "dropped_sampling");
-  s.trace_dropped_stray_end = u64_field(tr, "dropped_stray_end");
   return s;
 }
 
@@ -101,7 +101,6 @@ SimSection run_quick_workload() {
   s.trace_recorded = tr.recorded_total();
   s.trace_dropped_ring = tr.dropped_ring();
   s.trace_dropped_sampling = tr.dropped_sampling();
-  s.trace_dropped_stray_end = tr.dropped_stray_end();
   return s;
 }
 
@@ -118,7 +117,6 @@ void expect_sim_eq(const SimSection& got, const SimSection& want) {
   EXPECT_SIM_FIELD_EQ(got, want, trace_recorded);
   EXPECT_SIM_FIELD_EQ(got, want, trace_dropped_ring);
   EXPECT_SIM_FIELD_EQ(got, want, trace_dropped_sampling);
-  EXPECT_SIM_FIELD_EQ(got, want, trace_dropped_stray_end);
 }
 
 TEST(ScaleDeterminism, QuickSimSectionMatchesCommittedBaselineExactly) {

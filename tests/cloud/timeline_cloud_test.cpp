@@ -144,15 +144,18 @@ TEST(CloudTimeline, TimelineGaugesExportedWhenEnabled) {
   EXPECT_EQ(m.gauge("timeline.dropped_samples").value(), 0.0);
 }
 
-TEST(CloudTimeline, FirstStrayLaneGaugeDefaultsToSentinel) {
+TEST(CloudTimeline, TraceDropGaugesReadZeroOnAHealthyRun) {
   Cloud cloud(small_config(), Strategy::kOurs);
   cloud.obs().trace.set_enabled(true);
   cloud.multideploy(4, small_trace());
   cloud.collect_metrics();
-  // A healthy run has no stray span ends: the gauge reports -1.
-  EXPECT_EQ(cloud.obs().metrics.gauge("trace.first_stray_lane").value(),
-            -1.0);
-  EXPECT_FALSE(cloud.obs().trace.has_stray_end());
+  // Full ring, no sampling: every recorded event is retained, and each
+  // drop gauge says so.
+  obs::Registry& m = cloud.obs().metrics;
+  EXPECT_GT(m.gauge("trace.sampled").value(), 0.0);
+  EXPECT_EQ(m.gauge("trace.dropped").value(), 0.0);
+  EXPECT_EQ(m.gauge("trace.dropped_ring").value(), 0.0);
+  EXPECT_EQ(m.gauge("trace.dropped_sampling").value(), 0.0);
 }
 
 }  // namespace

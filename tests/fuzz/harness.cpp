@@ -156,10 +156,11 @@ struct World {
   }
 
   /// The harness's own entries in the event log: every task milestone is
-  /// an instant event, so two runs of a seed must interleave identically
-  /// to produce identical jsonl.
+  /// a zero-length detached cost event, so two runs of a seed must
+  /// interleave identically to produce identical jsonl.
   void mark(std::uint32_t lane, const char* what) {
-    recorder.trace.instant(engine.now_seconds(), lane, "fuzz", what);
+    recorder.trace.complete_in(engine.now_seconds(), 0, lane, "fuzz", what,
+                               /*span=*/0);
   }
 
   TaskState* new_task(OpKind kind, bool cancellable) {

@@ -126,7 +126,7 @@ TEST(Critpath, BackgroundWorkOutsideAnySpanIsIgnored) {
   const obs::SpanId root = t.new_span();
   t.complete_in(0.0, 1.0, 0, "svc", "disk", root);
   // span 0 = detached background work (e.g. the write-back flusher).
-  t.complete(0.0, 5.0, 0, "svc", "disk");
+  t.complete_in(0.0, 5.0, 0, "svc", "disk", /*span=*/0);
   t.complete_span(0.0, 2.0, 0, "vm", "boot", root, 0);
   const obs::CritReport report = obs::analyze_critical_paths(t.events());
   ASSERT_EQ(report.rows.size(), 1u);
@@ -159,7 +159,7 @@ struct ScenarioOut {
   obs::CritReport report;
   std::string attribution;
   std::string jsonl;
-  std::uint64_t pairing_errors = 0;
+  std::uint64_t dropped = 0;  // trace events lost to the ring or sampling
 };
 
 // Two VMs on nodes 2 and 3 concurrently fetch the same 512 KiB from a
@@ -206,7 +206,7 @@ ScenarioOut run_contention_scenario() {
   out.report = obs::analyze_critical_paths(rec.trace.events());
   out.attribution = obs::attribution_json(out.report);
   out.jsonl = rec.trace.jsonl();
-  out.pairing_errors = rec.trace.pairing_errors();
+  out.dropped = rec.trace.dropped_total();
   return out;
 }
 
@@ -231,7 +231,7 @@ TEST(Critpath, TwoVmsContendingOnOneProviderDisk) {
             0.0);
   // A single provider serializes the two fetch streams: somebody waited.
   EXPECT_GT(total_wait, 0.0);
-  EXPECT_EQ(out.pairing_errors, 0u);
+  EXPECT_EQ(out.dropped, 0u);
 }
 
 TEST(Critpath, SameSeedByteIdenticalAttribution) {
@@ -250,6 +250,45 @@ TEST(Critpath, JsonlRoundTripMatchesInProcessAnalysis) {
   const obs::CritReport reparsed = obs::analyze_critical_paths(*parsed);
   EXPECT_EQ(reparsed.rows.size(), out.report.rows.size());
   EXPECT_EQ(obs::attribution_json(reparsed), out.attribution);
+}
+
+TEST(Critpath, JsonlReaderRefusesMalformedEvents) {
+  const std::string good =
+      R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":1,"lane":0,)"
+      R"("id":1,"args":{"instance":3}})";
+  ASSERT_TRUE(obs::parse_trace_jsonl(good + "\n").is_ok());
+  for (const char* bad : {
+           "{}",
+           "[]",
+           R"({"cat":"vm","ph":"X","ts":0,"dur":1,"lane":0})",
+           R"({"name":"boot","ph":"X","ts":0,"dur":1,"lane":0})",
+           R"({"name":"boot","cat":"vm","ts":0,"dur":1,"lane":0})",
+           R"({"name":"boot","cat":"vm","ph":"X","dur":1,"lane":0})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":1})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"lane":0})",
+           R"({"name":"wake","cat":"flow","ph":"s","ts":0,"dur":1,"lane":0})",
+           R"({"name":"boot","cat":"vm","ph":"B","ts":0,"lane":0})",
+           R"({"name":"boot","cat":"vm","ph":"i","ts":0,"lane":0})",
+           R"({"name":5,"cat":"vm","ph":"X","ts":0,"dur":1,"lane":0})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":"0","dur":1,"lane":0})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":1,"lane":0,"id":1.5})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":1,"lane":0,"parent":-1})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":1,"lane":0,"span":1e3})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":1,"lane":0,)"
+           R"("id":18446744073709551616})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":1,"lane":4294967297})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"ts":5,"dur":1,"lane":0})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":01,"dur":1,"lane":0})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":1,"lane":0,"tid":0})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":1,"lane":0,"args":[]})",
+           R"({"name":"boot","cat":"vm","ph":"X","ts":0,"dur":1,"lane":0,)"
+           R"("args":{"ok":true}})",
+       }) {
+    const auto parsed = obs::parse_trace_jsonl(good + "\n" + bad + "\n");
+    ASSERT_FALSE(parsed.is_ok()) << "accepted: " << bad;
+    EXPECT_EQ(parsed.status().message().rfind("line 2: ", 0), 0u)
+        << parsed.status().to_string();
+  }
 }
 
 TEST(Critpath, AttributionTableRendersAllBuckets) {

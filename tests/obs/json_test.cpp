@@ -30,15 +30,32 @@ TEST(JsonParse, ObjectWithEveryValueKind) {
 }
 
 TEST(JsonParse, NumberForms) {
-  for (const auto& [text, want] :
-       {std::pair<const char*, double>{"0", 0.0},
-        {"-0.5", -0.5},
-        {"1e3", 1000.0},
-        {"2.5E-2", 0.025},
-        {"18446744073709551615", 18446744073709551615.0}}) {
-    auto r = parse_json(text);
-    ASSERT_TRUE(r.is_ok()) << text << ": " << r.status().to_string();
-    EXPECT_DOUBLE_EQ(r->as_number(), want) << text;
+  // is_uint: a plain non-negative integer token that fits in uint64_t,
+  // read exactly (2^53 + 1 has no exact double).
+  struct Case {
+    const char* text;
+    double number;
+    bool is_uint;
+    std::uint64_t uint;
+  };
+  for (const Case& c : {
+           Case{"0", 0.0, true, 0},
+           Case{"-0.5", -0.5, false, 0},
+           Case{"1e3", 1000.0, false, 0},
+           Case{"2.5E-2", 0.025, false, 0},
+           Case{"-1", -1.0, false, 0},
+           Case{"1.0", 1.0, false, 0},
+           Case{"9007199254740993", 9007199254740993.0, true,
+                9007199254740993ull},
+           Case{"18446744073709551615", 18446744073709551615.0, true,
+                18446744073709551615ull},
+           Case{"18446744073709551616", 18446744073709551616.0, false, 0},
+       }) {
+    auto r = parse_json(c.text);
+    ASSERT_TRUE(r.is_ok()) << c.text << ": " << r.status().to_string();
+    EXPECT_DOUBLE_EQ(r->as_number(), c.number) << c.text;
+    EXPECT_EQ(r->is_uint(), c.is_uint) << c.text;
+    EXPECT_EQ(r->as_uint(), c.uint) << c.text;
   }
 }
 
@@ -59,6 +76,17 @@ TEST(JsonParse, RejectsMalformedInput) {
            "\"unterminated",   // unterminated string
            "{\"a\" 1}",        // missing colon
            "NaN",              // not a JSON number
+           "01",               // leading zero
+           "-01",              // leading zero after the sign
+           ".5",               // no integer part
+           "-.5",              // no integer part after the sign
+           "1.",               // no fraction digits
+           "1e",               // no exponent digits
+           "1e+",              // no exponent digits after the sign
+           "+1",               // explicit plus sign
+           "-",                // sign alone
+           "0x10",             // hex
+           "{\"a\":1,\"a\":2}",  // duplicate member name
        }) {
     auto r = parse_json(bad);
     EXPECT_FALSE(r.is_ok()) << "accepted: " << bad;
@@ -80,6 +108,7 @@ TEST(JsonValue, AccessorsDefaultOnKindMismatch) {
   const JsonValue& doc = *r;
   EXPECT_DOUBLE_EQ(doc["s"].as_number(), 0.0);
   EXPECT_FALSE(doc["s"].as_bool());
+  EXPECT_FALSE(doc["s"].is_uint());
   EXPECT_EQ(doc["n"].as_string(), "");
   EXPECT_TRUE(doc["n"].items().empty());
   EXPECT_TRUE(doc["n"].members().empty());

@@ -36,15 +36,6 @@ TEST(ExpHistogram, CountSumMinMax) {
   EXPECT_LE(h.percentile(99), h.max());
 }
 
-TEST(TimeWeighted, AveragesOverTime) {
-  TimeWeighted tw;
-  tw.set(0.0, 2.0);   // 2 for [0, 10)
-  tw.set(10.0, 4.0);  // 4 for [10, 20)
-  EXPECT_DOUBLE_EQ(tw.average(20.0), 3.0);
-  EXPECT_DOUBLE_EQ(tw.max(), 4.0);
-  EXPECT_DOUBLE_EQ(tw.value(), 4.0);
-}
-
 TEST(Registry, HandlesAreStableAndShared) {
   Registry r;
   Counter& a = r.counter("net.transfers");
@@ -52,16 +43,10 @@ TEST(Registry, HandlesAreStableAndShared) {
   EXPECT_EQ(&a, &b);  // same key -> same metric
   a.add(3);
   EXPECT_EQ(b.value(), 3u);
-  // Different labels -> different metric.
-  Counter& c = r.counter("net.transfers", {{"node", "1"}});
+  // Different name -> different metric.
+  Counter& c = r.counter("net.transfers.tx");
   EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Registry, EncodeKeySortsLabels) {
-  const std::string key =
-      Registry::encode_key("x", {{"b", "2"}, {"a", "1"}});
-  EXPECT_EQ(key, "x{a=1,b=2}");
-  EXPECT_EQ(Registry::encode_key("x", {}), "x");
+  EXPECT_EQ(r.size(), 2u);
 }
 
 TEST(Registry, ToJsonIsDeterministicAndOrdered) {
@@ -71,7 +56,6 @@ TEST(Registry, ToJsonIsDeterministicAndOrdered) {
     r.counter("a.first").add(2);
     r.gauge("g").set(0.5);
     r.histogram("h").record(1e-3);
-    r.time_weighted("tw").set(1.0, 2.0);
     return r.to_json();
   };
   const std::string j1 = build();
@@ -82,7 +66,8 @@ TEST(Registry, ToJsonIsDeterministicAndOrdered) {
   EXPECT_NE(j1.find("\"counters\""), std::string::npos);
   EXPECT_NE(j1.find("\"gauges\""), std::string::npos);
   EXPECT_NE(j1.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(j1.find("\"time_weighted\""), std::string::npos);
+  // 1e-3 s lands in the 1 µs * 2^10 bucket of the fixed geometry.
+  EXPECT_NE(j1.find("\"buckets\":[[0.001024,1]]"), std::string::npos);
 }
 
 }  // namespace

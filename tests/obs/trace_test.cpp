@@ -10,39 +10,42 @@ namespace {
 TEST(Tracer, DisabledRecordsNothing) {
   Tracer t;
   EXPECT_FALSE(t.enabled());
-  t.complete(1.0, 0.5, 0, "cat", "span");
-  t.instant(2.0, 0, "cat", "mark");
+  t.complete_span(1.0, 0.5, 0, "cat", "span", t.new_span(), 0);
+  t.complete_in(2.0, 0.0, 0, "cat", "cost", 0);
+  EXPECT_EQ(t.flow_begin(3.0, 0, "wake"), 0u);
   EXPECT_EQ(t.size(), 0u);
 }
 
 TEST(Tracer, RecordsEventsWhenEnabled) {
   Tracer t;
   t.set_enabled(true);
-  t.complete(1.0, 0.5, 3, "net", "transfer",
-             {TraceArg::uint("bytes", 1024), TraceArg::str("dst", "n2")});
-  t.begin(2.0, 1, "vm", "boot");
-  t.end(3.5, 1, "vm", "boot");
-  t.instant(4.0, 0, "cloud", "snapshot_start");
-  ASSERT_EQ(t.size(), 4u);
+  const SpanId root = t.new_span();
+  t.complete_in(1.0, 0.5, 3, "svc", "net.tx", root,
+                {TraceArg::uint("bytes", 1024), TraceArg::str("dst", "n2")});
+  t.complete_span(0.0, 3.5, 1, "vm", "boot", root, 0);
+  ASSERT_EQ(t.size(), 2u);
   const std::vector<TraceEvent> evs = t.events();
   const TraceEvent& e = evs[0];
   EXPECT_EQ(e.phase, 'X');
   EXPECT_DOUBLE_EQ(e.ts, 1.0);
   EXPECT_DOUBLE_EQ(e.dur, 0.5);
   EXPECT_EQ(e.lane, 3u);
-  EXPECT_EQ(e.name, "transfer");
+  EXPECT_EQ(e.name, "net.tx");
+  EXPECT_EQ(e.span, root);
+  EXPECT_EQ(e.id, 0u);
   ASSERT_EQ(e.args.size(), 2u);
   EXPECT_EQ(e.args[0].kind, TraceArg::Kind::kUint);
-  EXPECT_EQ(evs[1].phase, 'B');
-  EXPECT_EQ(evs[2].phase, 'E');
-  EXPECT_EQ(evs[3].phase, 'i');
+  EXPECT_EQ(evs[1].phase, 'X');
+  EXPECT_EQ(evs[1].id, root);
+  EXPECT_EQ(evs[1].parent, 0u);
+  EXPECT_EQ(evs[1].span, 0u);
 }
 
 TEST(Tracer, JsonlOneObjectPerLine) {
   Tracer t;
   t.set_enabled(true);
-  t.complete(1.0, 0.5, 0, "c", "a");
-  t.instant(2.0, 0, "c", "b");
+  t.complete_in(1.0, 0.5, 0, "c", "a", 0);
+  t.complete_in(2.0, 0.0, 0, "c", "b", 0);
   const std::string jsonl = t.jsonl();
   std::size_t lines = 0;
   for (char ch : jsonl) {
@@ -56,7 +59,8 @@ TEST(Tracer, ChromeJsonShapeAndDeterminism) {
   const auto build = [] {
     Tracer t;
     t.set_enabled(true);
-    t.complete(1.0, 0.5, 2, "net", "transfer", {TraceArg::num("mb", 1.5)});
+    t.complete_in(1.0, 0.5, 2, "net", "transfer", 0,
+                  {TraceArg::num("mb", 1.5)});
     return t.chrome_json();
   };
   const std::string j1 = build();
@@ -73,50 +77,15 @@ TEST(Tracer, ChromeJsonShapeAndDeterminism) {
 TEST(Tracer, ClearResets) {
   Tracer t;
   t.set_enabled(true);
-  t.instant(1.0, 0, "c", "x");
-  t.begin(2.0, 0, "c", "y");
-  t.end(5.0, 1, "c", "z");  // unmatched: lane 1 never began
-  EXPECT_EQ(t.open_begins(), 1u);
-  EXPECT_EQ(t.pairing_errors(), 1u);
+  const SpanId root = t.new_span();
+  t.complete_in(1.0, 0.0, 0, "c", "x", root);
+  t.complete_span(0.0, 2.0, 0, "c", "y", root, 0);
+  EXPECT_EQ(t.size(), 2u);
   t.clear();
   EXPECT_EQ(t.size(), 0u);
-  EXPECT_EQ(t.open_begins(), 0u);
-  EXPECT_EQ(t.pairing_errors(), 0u);
-}
-
-TEST(Tracer, UnmatchedEndIsCountedAndDropped) {
-  Tracer t;
-  t.set_enabled(true);
-  t.end(1.0, 0, "vm", "boot");
-  EXPECT_EQ(t.size(), 0u);  // the stray 'E' never reaches the trace
-  EXPECT_EQ(t.pairing_errors(), 1u);
-  // Stray ends are a drop cause with their own counter.
-  EXPECT_EQ(t.dropped_stray_end(), 1u);
-  EXPECT_EQ(t.dropped_total(), 1u);
-  EXPECT_EQ(t.dropped_ring(), 0u);
-  EXPECT_EQ(t.dropped_sampling(), 0u);
-  // A proper pair on the same lane still works afterwards.
-  t.begin(2.0, 0, "vm", "boot");
-  t.end(3.0, 0, "vm", "boot");
-  EXPECT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.pairing_errors(), 1u);
-  EXPECT_EQ(t.dropped_stray_end(), 1u);
-  EXPECT_EQ(t.recorded_total(), 2u);
-  EXPECT_EQ(t.open_begins(), 0u);
-}
-
-TEST(Tracer, FirstStrayLaneIsLatched) {
-  Tracer t;
-  t.set_enabled(true);
-  EXPECT_FALSE(t.has_stray_end());
-  t.end(1.0, 7, "vm", "boot");
-  t.end(2.0, 3, "vm", "boot");
-  EXPECT_TRUE(t.has_stray_end());
-  // The first offender is kept, later strays don't overwrite it.
-  EXPECT_EQ(t.first_stray_lane(), 7u);
-  t.clear();
-  EXPECT_FALSE(t.has_stray_end());
-  EXPECT_EQ(t.first_stray_lane(), 0u);
+  EXPECT_EQ(t.recorded_total(), 0u);
+  // Span ids restart, so a cleared tracer replays a run's ids exactly.
+  EXPECT_EQ(t.new_span(), root);
 }
 
 TEST(Tracer, RingWrapKeepsNewestAndCountsDrops) {
@@ -125,7 +94,8 @@ TEST(Tracer, RingWrapKeepsNewestAndCountsDrops) {
   t.set_ring_capacity(4);
   EXPECT_EQ(t.ring_capacity(), 4u);
   for (int i = 0; i < 10; ++i) {
-    t.instant(static_cast<double>(i), 0, "c", "e" + std::to_string(i));
+    t.complete_in(static_cast<double>(i), 0.0, 0, "c",
+                  "e" + std::to_string(i), 0);
   }
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.recorded_total(), 10u);
@@ -151,13 +121,13 @@ TEST(Tracer, ClearPreservesRingAndSamplingConfig) {
   t.set_enabled(true);
   t.set_ring_capacity(8);
   t.set_sampling(0.5, 7);
-  t.instant(1.0, 0, "c", "x");
+  t.complete_in(1.0, 0.0, 0, "c", "x", 0);
   t.clear();
   EXPECT_EQ(t.size(), 0u);
   EXPECT_EQ(t.recorded_total(), 0u);
   EXPECT_EQ(t.dropped_ring(), 0u);
   EXPECT_EQ(t.dropped_sampling(), 0u);
-  EXPECT_EQ(t.dropped_stray_end(), 0u);
+  EXPECT_EQ(t.dropped_total(), 0u);
   EXPECT_EQ(t.ring_capacity(), 8u);
   EXPECT_TRUE(t.sampling_active());
   EXPECT_DOUBLE_EQ(t.sample_rate(), 0.5);
@@ -208,21 +178,6 @@ TEST(Tracer, SamplingIsDeterministicSeededSubset) {
     EXPECT_TRUE(found) << "sampled event id " << e.id
                        << " missing from the full stream";
   }
-}
-
-TEST(Tracer, OpenBeginsTrackedPerLane) {
-  Tracer t;
-  t.set_enabled(true);
-  t.begin(1.0, 0, "a", "x");
-  t.begin(2.0, 0, "a", "y");  // nested on lane 0
-  t.begin(3.0, 7, "b", "z");
-  EXPECT_EQ(t.open_begins(), 3u);
-  t.end(4.0, 0, "a", "y");
-  EXPECT_EQ(t.open_begins(), 2u);
-  t.end(5.0, 0, "a", "x");
-  t.end(6.0, 7, "b", "z");
-  EXPECT_EQ(t.open_begins(), 0u);
-  EXPECT_EQ(t.pairing_errors(), 0u);
 }
 
 TEST(Tracer, FlowEventsCarrySharedId) {

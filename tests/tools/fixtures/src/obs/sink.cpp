@@ -22,7 +22,7 @@ struct Registry {
 };
 
 struct Tracer {
-  void complete(const char* name, double ts) {}
+  void complete_in(const char* name, double ts) {}
 };
 
 struct Report {
@@ -69,7 +69,7 @@ void transparent_leak(Registry& reg) {
 }
 
 void trace_leak(Tracer& tr) {
-  tr.complete("span", sample_wall());  // taint-trace-payload
+  tr.complete_in("span", sample_wall());  // taint-trace-payload
 }
 
 void fingerprint_leak(Report& rep) {

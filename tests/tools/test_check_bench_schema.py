@@ -24,7 +24,7 @@ def engine_arm(name, tracer):
         "events_per_sec": 80000.0,
         "peak_rss_bytes": 1 << 20,
         "trace": {"recorded": 100, "dropped_ring": 0,
-                  "dropped_sampling": 0, "dropped_stray_end": 0},
+                  "dropped_sampling": 0},
         "phases": {"queue_ops": 0.2, "auditor": 0.1, "resume": 0.8,
                    "tracer": tracer, "dispatch": 0.2, "user_work": 0.6},
     }
@@ -46,7 +46,7 @@ def engine_doc(quick=False):
             "wait_records_live_high_water": 10240,
             "cancelled_wakeups": 17,
             "trace": {"recorded": 900000, "dropped_ring": 100000,
-                      "dropped_sampling": 0, "dropped_stray_end": 0},
+                      "dropped_sampling": 0},
         },
         "overhead": {
             "arms": [engine_arm("off", 0.0), engine_arm("sampled", 0.05),

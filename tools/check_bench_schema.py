@@ -47,8 +47,7 @@ ENGINE_PHASES = ("queue_ops", "auditor", "resume", "tracer", "dispatch",
 ENGINE_SIM_KEYS = ("events_processed", "events_scheduled",
                    "queue_depth_high_water", "wait_records_created",
                    "wait_records_live_high_water", "cancelled_wakeups")
-ENGINE_TRACE_KEYS = ("recorded", "dropped_ring", "dropped_sampling",
-                     "dropped_stray_end")
+ENGINE_TRACE_KEYS = ("recorded", "dropped_ring", "dropped_sampling")
 
 
 def fail(path, errors, msg):
@@ -71,7 +70,7 @@ def check_metrics(path, errors, metrics):
         return  # benches without a Cloud (real-I/O Bonnie) have no snapshot
     if not isinstance(metrics, dict):
         return fail(path, errors, "metrics must be an object or null")
-    for group in ("counters", "gauges", "histograms", "time_weighted"):
+    for group in ("counters", "gauges", "histograms"):
         if group not in metrics:
             fail(path, errors, f"metrics missing group '{group}'")
         elif not isinstance(metrics[group], dict):

@@ -36,9 +36,9 @@ demand a real frontend.
 Deterministic metric writes (`.set/.add/.record` on Registry handles) are
 recognized structurally rather than through name resolution, because those
 member names are in blocking.toml's ambiguous_members: a receiver chaining
-from counter()/gauge()/histogram()/time_weighted(), or a variable whose
-declared type or initializer marks it as a Registry handle, is a sink. The
-Registry holds only deterministic metrics, so every handle write is one.
+from counter()/gauge()/histogram(), or a variable whose declared type or
+initializer marks it as a Registry handle, is a sink. The Registry holds
+only deterministic metrics, so every handle write is one.
 
 Built once per Project (see get()) and read by determinism-taint; build
 stats are exported for `vmlint --stats`.

@@ -13,8 +13,8 @@ arguments and member stores, and reports when it reaches
   sim-schedule    an Engine::schedule_at time
   fingerprint     a Report::config entry (feeds the BENCH_*.json
                   config fingerprint)
-  trace-payload   a Tracer complete/instant/flow record (the trace JSONL
-                  is a same-seed byte-identical artifact)
+  trace-payload   a Tracer span/cost/flow record (the trace JSONL is a
+                  same-seed byte-identical artifact)
 
 common::env_or() is the sanctioned sanitizer: env values are host-side
 configuration, identical across the determinism oracle's double runs.
