@@ -22,13 +22,22 @@ namespace {
 
 constexpr Bytes kDefaultChunk = 256_KiB;
 
-Result<std::vector<std::byte>> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+/// The whole file, read once into a buffer of its size.
+Result<std::string> read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return not_found("cannot open " + path);
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  std::vector<std::byte> out(raw.size());
-  std::memcpy(out.data(), raw.data(), raw.size());
+  const std::streamsize size = in.tellg();
+  if (size < 0) return unavailable("cannot size " + path);
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(text.data(), size)) return unavailable("short read of " + path);
+  return text;
+}
+
+Result<std::vector<std::byte>> read_file(const std::string& path) {
+  VMSTORM_ASSIGN_OR_RETURN(text, read_text(path));
+  std::vector<std::byte> out(text.size());
+  std::memcpy(out.data(), text.data(), text.size());
   return out;
 }
 
@@ -218,11 +227,8 @@ Result<std::string> cmd_critpath(const Parsed& p) {
   if (p.positional.size() != 1) {
     return invalid_argument("critpath <trace.jsonl>");
   }
-  std::ifstream in(p.positional[0], std::ios::binary);
-  if (!in) return not_found("cannot open " + p.positional[0]);
-  std::ostringstream text;
-  text << in.rdbuf();
-  VMSTORM_ASSIGN_OR_RETURN(events, obs::parse_trace_jsonl(text.str()));
+  VMSTORM_ASSIGN_OR_RETURN(text, read_text(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(events, obs::parse_trace_jsonl(text));
   const obs::CritReport report = obs::analyze_critical_paths(events);
   return obs::attribution_table(report);
 }
@@ -231,11 +237,8 @@ Result<std::string> cmd_engine_stats(const Parsed& p) {
   if (p.positional.size() != 1) {
     return invalid_argument("engine-stats <BENCH_engine.json>");
   }
-  std::ifstream in(p.positional[0], std::ios::binary);
-  if (!in) return not_found("cannot open " + p.positional[0]);
-  std::ostringstream text;
-  text << in.rdbuf();
-  VMSTORM_ASSIGN_OR_RETURN(doc, obs::parse_json(text.str()));
+  VMSTORM_ASSIGN_OR_RETURN(text, read_text(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(doc, obs::parse_json(text));
   if (doc["schema"].as_string() != "vmstorm-engine-v1") {
     return invalid_argument("not a vmstorm-engine-v1 artifact (schema: \"" +
                             doc["schema"].as_string() + "\")");
@@ -340,11 +343,8 @@ Result<std::string> cmd_timeline(const Parsed& p) {
   if (p.positional.size() != 1) {
     return invalid_argument("timeline <BENCH.json>");
   }
-  std::ifstream in(p.positional[0], std::ios::binary);
-  if (!in) return not_found("cannot open " + p.positional[0]);
-  std::ostringstream text;
-  text << in.rdbuf();
-  VMSTORM_ASSIGN_OR_RETURN(doc, obs::parse_json(text.str()));
+  VMSTORM_ASSIGN_OR_RETURN(text, read_text(p.positional[0]));
+  VMSTORM_ASSIGN_OR_RETURN(doc, obs::parse_json(text));
   const obs::JsonValue& tl = doc["timeline"];
   if (!tl.is_object()) {
     return invalid_argument(

@@ -85,11 +85,17 @@ Status StripedFs::write_pattern(FileId file, Bytes offset, Bytes length,
     const Bytes base = si * stripe;
     const Bytes lo = std::max(offset, base);
     const Bytes hi = std::min(end, base + stripe);
-    if (lo == base && hi == base + stripe) {
-      rec.stripes.insert_or_assign(si,
-                                   blob::ChunkPayload::pattern(seed, stripe, base));
+    auto sit = rec.stripes.find(si);
+    if (lo == base &&
+        (sit == rec.stripes.end() || sit->second.size() <= hi - base)) {
+      // The write covers all the stripe holds (a stripe is never longer
+      // than the stripe size): replace it, synthetic, even as a short tail.
+      rec.stripes.insert_or_assign(
+          si, blob::ChunkPayload::pattern(seed, hi - base, base));
     } else {
-      auto [sit, ins] = rec.stripes.try_emplace(si, blob::ChunkPayload::zeros(0));
+      if (sit == rec.stripes.end()) {
+        sit = rec.stripes.emplace(si, blob::ChunkPayload::zeros(0)).first;
+      }
       std::vector<std::byte> buf(hi - lo);
       for (Bytes b = lo; b < hi; ++b) buf[b - lo] = blob::pattern_byte(seed, b);
       sit->second.write(lo - base, buf);
@@ -150,6 +156,15 @@ Bytes StripedFs::stored_bytes_on(ServerId s) const {
     for (const auto& [si, payload] : rec.stripes) {
       if (server_of(si) == s) n += payload.size();
     }
+  }
+  return n;
+}
+
+Bytes StripedFs::resident_bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  Bytes n = 0;
+  for (const auto& [id, rec] : files_) {
+    for (const auto& [si, payload] : rec.stripes) n += payload.resident_bytes();
   }
   return n;
 }

@@ -67,6 +67,8 @@ class StripedFs {
   /// Logical bytes stored on one server / total.
   Bytes stored_bytes_on(ServerId s) const;
   Bytes stored_bytes() const;
+  /// Physical RAM held by stripe buffers (synthetic stripes hold none).
+  Bytes resident_bytes() const;
 
  private:
   struct FileRecord {

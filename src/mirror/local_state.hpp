@@ -13,6 +13,12 @@
 //    leave a gap inside a chunk triggers a remote read filling the gap,
 //    bounding fragmentation metadata to O(1) per chunk.
 //
+// Storage follows strategy 2: each chunk's mirrored content is one region,
+// two chunk-relative 32-bit offsets (8 B per chunk). Chunks that hold more
+// than one fragment (only possible with strategy 2 off, or after an
+// arbitrary apply_fetch) move to a sparse RangeSet side table, and so do
+// the dirty ranges of dirty chunks: COMMIT work is O(dirty chunks).
+//
 // Drivers (the real VirtualDisk and the simulated SimVirtualDisk) call
 // plan_read / plan_write, execute the returned remote fetches, then call
 // apply_fetch / apply_write. COMMIT uses plan_commit to complete dirty
@@ -20,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -31,17 +38,20 @@ namespace vmstorm::mirror {
 
 struct MirrorConfig {
   Bytes image_size = 0;
-  Bytes chunk_size = 256_KiB;  // the paper's choice (§5.2)
+  Bytes chunk_size = 256_KiB;  // the paper's choice (§5.2); <= kMaxChunkSize
   bool prefetch_whole_chunks = true;   // §3.3 strategy 1
   bool single_region_per_chunk = true; // §3.3 strategy 2
 };
 
 class LocalState {
  public:
+  /// Chunk-relative offsets are 32-bit, so a chunk is at most 4 GiB - 1.
+  static constexpr Bytes kMaxChunkSize = UINT32_MAX;
+
   explicit LocalState(MirrorConfig cfg);
 
   const MirrorConfig& config() const { return cfg_; }
-  std::uint64_t chunk_count() const { return chunks_.size(); }
+  std::uint64_t chunk_count() const { return regions_.size(); }
 
   /// Byte range covered by chunk `ci` (last chunk may be short).
   ByteRange chunk_range(std::uint64_t ci) const;
@@ -83,7 +93,7 @@ class LocalState {
   // ---- Queries ------------------------------------------------------------
 
   bool is_mirrored(ByteRange r) const;
-  bool is_dirty_chunk(std::uint64_t ci) const { return chunks_[ci].dirty; }
+  bool is_dirty_chunk(std::uint64_t ci) const { return dirty_.contains(ci); }
   Bytes mirrored_bytes() const;
   Bytes dirty_bytes() const;
 
@@ -97,19 +107,43 @@ class LocalState {
   // ---- Persistence (§4.2: metadata written on close, restored on open) ----
 
   std::string serialize() const;
+  /// Refuses (kCorruption) anything serialize() cannot have written: ranges
+  /// that are empty, outside their chunk, unordered, overlapping or
+  /// adjacent; dirty ranges outside the mirrored set; a dirty flag that
+  /// disagrees with the dirty ranges; a chunk size above kMaxChunkSize.
   static Result<LocalState> deserialize(const std::string& data);
 
  private:
-  struct ChunkState {
-    RangeSet mirrored;
-    RangeSet dirty_ranges;
-    bool dirty = false;
+  /// A chunk's one mirrored region, chunk-relative [lo, hi); lo == hi when
+  /// the chunk holds nothing or is fragmented.
+  struct Region {
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
   };
 
   std::uint64_t chunk_of(Bytes offset) const { return offset / cfg_.chunk_size; }
 
+  /// Chunk ci's mirrored content: its fragments' RangeSet, or null when it
+  /// is the single (possibly empty) region regions_[ci].
+  const RangeSet* fragments_of(std::uint64_t ci) const;
+  /// regions_[ci] in image coordinates.
+  ByteRange region_of(std::uint64_t ci) const;
+  bool chunk_contains(std::uint64_t ci, ByteRange sub) const;
+  /// Smallest range holding all of chunk ci's mirrored bytes (empty if none).
+  ByteRange chunk_hull(std::uint64_t ci) const;
+  /// Appends, in order, the pieces of `target` (inside chunk ci) that are
+  /// not mirrored.
+  void chunk_missing(std::uint64_t ci, ByteRange target,
+                     std::vector<ByteRange>* out) const;
+  /// Marks `sub` (non-empty, inside chunk ci) mirrored.
+  void chunk_insert(std::uint64_t ci, ByteRange sub);
+
   MirrorConfig cfg_;
-  std::vector<ChunkState> chunks_;
+  std::vector<Region> regions_;
+  // Chunks whose mirrored set is two or more fragments.
+  std::map<std::uint64_t, RangeSet> fragmented_;
+  // Dirty chunk -> its dirty ranges; a chunk is dirty iff it has an entry.
+  std::map<std::uint64_t, RangeSet> dirty_;
 };
 
 }  // namespace vmstorm::mirror

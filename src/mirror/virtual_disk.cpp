@@ -9,6 +9,9 @@ Result<std::unique_ptr<VirtualDisk>> VirtualDisk::open(
     VirtualDiskOptions opts) {
   VMSTORM_ASSIGN_OR_RETURN(info, store.info(blob));
   if (version > info.latest) return out_of_range("no such version");
+  if (info.chunk_size > LocalState::kMaxChunkSize) {
+    return invalid_argument("a chunk size of 4 GiB or more cannot be mirrored");
+  }
   MirrorConfig cfg;
   cfg.image_size = info.size;
   cfg.chunk_size = info.chunk_size;

@@ -290,6 +290,40 @@ class JsonParser {
     }
   }
 
+  /// Four hex digits of a \u escape.
+  Status parse_hex4(unsigned* code) {
+    if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
+    *code = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = text_[pos_++];
+      *code <<= 4;
+      if (h >= '0' && h <= '9') *code |= static_cast<unsigned>(h - '0');
+      else if (h >= 'a' && h <= 'f') *code |= static_cast<unsigned>(h - 'a' + 10);
+      else if (h >= 'A' && h <= 'F') *code |= static_cast<unsigned>(h - 'A' + 10);
+      else return fail("invalid \\u escape");
+    }
+    return Status::ok();
+  }
+
+  /// UTF-8 encoding of a code point (never a surrogate).
+  static void append_utf8(unsigned code, std::string* out) {
+    if (code < 0x80) {
+      *out += static_cast<char>(code);
+    } else if (code < 0x800) {
+      *out += static_cast<char>(0xc0 | (code >> 6));
+      *out += static_cast<char>(0x80 | (code & 0x3f));
+    } else if (code < 0x10000) {
+      *out += static_cast<char>(0xe0 | (code >> 12));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+      *out += static_cast<char>(0x80 | (code & 0x3f));
+    } else {
+      *out += static_cast<char>(0xf0 | (code >> 18));
+      *out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+      *out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+      *out += static_cast<char>(0x80 | (code & 0x3f));
+    }
+  }
+
   Status parse_string(std::string* out) {
     ++pos_;  // opening '"'
     while (pos_ < text_.size()) {
@@ -317,28 +351,26 @@ class JsonParser {
         case 'r': *out += '\r'; break;
         case 't': *out += '\t'; break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) return fail("truncated \\u escape");
           unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return fail("invalid \\u escape");
+          VMSTORM_RETURN_IF_ERROR(parse_hex4(&code));
+          if (code >= 0xdc00 && code <= 0xdfff) {
+            return fail("lone low surrogate in \\u escape");
           }
-          // UTF-8 encode the BMP code point (surrogate pairs unsupported —
-          // the writer only ever emits \u00XX control escapes).
-          if (code < 0x80) {
-            *out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            *out += static_cast<char>(0xc0 | (code >> 6));
-            *out += static_cast<char>(0x80 | (code & 0x3f));
-          } else {
-            *out += static_cast<char>(0xe0 | (code >> 12));
-            *out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            *out += static_cast<char>(0x80 | (code & 0x3f));
+          if (code >= 0xd800 && code <= 0xdbff) {
+            // A high surrogate must be followed by an escaped low one; the
+            // pair encodes one supplementary-plane code point.
+            unsigned low = 0;
+            if (text_.compare(pos_, 2, "\\u") != 0) {
+              return fail("lone high surrogate in \\u escape");
+            }
+            pos_ += 2;
+            VMSTORM_RETURN_IF_ERROR(parse_hex4(&low));
+            if (low < 0xdc00 || low > 0xdfff) {
+              return fail("lone high surrogate in \\u escape");
+            }
+            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
           }
+          append_utf8(code, out);
           break;
         }
         default: return fail("invalid escape character");

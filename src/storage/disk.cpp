@@ -111,15 +111,22 @@ sim::Task<void> Disk::flusher(Bytes bytes) {
 
 void Disk::wake_dirty_waiters() {
   // Admit waiters FIFO while the budget allows; they re-check on resume.
-  while (!dirty_waiters_.empty()) {
-    DirtyWaiter& w = dirty_waiters_.front();
-    if (!w.rec->alive) {
-      dirty_waiters_.pop_front();
-      continue;
+  while (dirty_head_ < dirty_waiters_.size()) {
+    DirtyWaiter& w = dirty_waiters_[dirty_head_];
+    if (w.rec->alive) {
+      if (dirty_bytes_ != 0 && dirty_bytes_ + w.need > cfg_.dirty_limit) break;
+      sim::wake_waiter(*engine_, w.rec);
     }
-    if (dirty_bytes_ != 0 && dirty_bytes_ + w.need > cfg_.dirty_limit) break;
-    sim::wake_waiter(*engine_, w.rec);
-    dirty_waiters_.pop_front();
+    w.rec = {};
+    ++dirty_head_;
+  }
+  // Drop the admitted prefix once it is half the queue or more: amortized
+  // O(1) per waiter, and memory bounded by the waiters still queued.
+  if (dirty_head_ * 2 >= dirty_waiters_.size()) {
+    dirty_waiters_.erase(dirty_waiters_.begin(),
+                         dirty_waiters_.begin() +
+                             static_cast<std::ptrdiff_t>(dirty_head_));
+    dirty_head_ = 0;
   }
 }
 

@@ -17,7 +17,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -111,7 +110,10 @@ class Disk {
   Bytes cache_bytes_ = 0;
 
   Bytes dirty_bytes_ = 0;
-  std::deque<DirtyWaiter> dirty_waiters_;
+  // FIFO admission queue: dirty_waiters_[dirty_head_..] wait, in order.
+  // A vector, unlike std::deque, allocates nothing until the first waiter.
+  std::vector<DirtyWaiter> dirty_waiters_;
+  std::size_t dirty_head_ = 0;
   std::uint64_t flushes_in_flight_ = 0;
   std::vector<sim::WaitRef> flush_waiters_;
 

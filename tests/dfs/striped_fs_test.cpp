@@ -91,6 +91,39 @@ TEST(StripedFs, WritePatternMatchesExplicit) {
   }
 }
 
+TEST(StripedFs, WritePatternTailStripeStaysSynthetic) {
+  StripedFs fs(4, 128);
+  FileId f = fs.create("snap").value();
+  // 7 full stripes and a 104-byte tail, as a snapshot copy ends.
+  ASSERT_TRUE(fs.write_pattern(f, 0, 1000, 9).is_ok());
+  std::vector<std::byte> out(1000);
+  ASSERT_TRUE(fs.read(f, 0, out).is_ok());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], blob::pattern_byte(9, i)) << i;
+  }
+  EXPECT_EQ(fs.stored_bytes(), 1000u);
+  EXPECT_EQ(fs.resident_bytes(), 0u);
+  // A longer rewrite of the tail replaces it, still synthetic.
+  ASSERT_TRUE(fs.write_pattern(f, 896, 120, 4).is_ok());
+  EXPECT_EQ(fs.resident_bytes(), 0u);
+  EXPECT_EQ(fs.stored_bytes(), 1016u);
+}
+
+TEST(StripedFs, WritePatternPartialOverwriteKeepsTheRest) {
+  StripedFs fs(4, 128);
+  FileId f = fs.create("a").value();
+  ASSERT_TRUE(fs.write_pattern(f, 0, 200, 1).is_ok());  // tail [128, 200)
+  EXPECT_EQ(fs.resident_bytes(), 0u);
+  // Shorter than the tail it starts: the stripe's last bytes must survive.
+  ASSERT_TRUE(fs.write_pattern(f, 128, 30, 2).is_ok());
+  std::vector<std::byte> out(72);
+  ASSERT_TRUE(fs.read(f, 128, out).is_ok());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], blob::pattern_byte(i < 30 ? 2 : 1, 128 + i)) << i;
+  }
+  EXPECT_EQ(fs.resident_bytes(), 72u);
+}
+
 TEST(StripedFs, StorageEvenlyDistributed) {
   StripedFs fs(5, 256);
   FileId f = fs.create("big").value();

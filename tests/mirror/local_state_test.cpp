@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace vmstorm::mirror {
@@ -144,7 +148,7 @@ TEST(LocalState, SerializeRoundTrip) {
   EXPECT_EQ(restored->serialize(), blob);
 }
 
-TEST(LocalState, DeserializeRejectsCorruption) {
+TEST(LocalState, DeserializeRejectsTruncation) {
   LocalState st(cfg());
   auto blob = st.serialize();
   EXPECT_FALSE(LocalState::deserialize("garbage").is_ok());
@@ -152,6 +156,120 @@ TEST(LocalState, DeserializeRejectsCorruption) {
   auto trailing = blob + "x";
   // 1-byte tail cannot even be parsed as a u64.
   EXPECT_FALSE(LocalState::deserialize(trailing).is_ok());
+}
+
+// A hand-built MIRRST01 blob: header, then one record per chunk.
+struct ChunkRecord {
+  std::uint64_t dirty = 0;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> mirrored;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> dirty_ranges;
+};
+
+struct BlobSpec {
+  std::uint64_t image = 1000, chunk = 100, flags = 3, count = 10;
+  std::vector<ChunkRecord> chunks = std::vector<ChunkRecord>(10);
+};
+
+std::string encode(const BlobSpec& b) {
+  std::string out;
+  auto put = [&out](std::uint64_t v) {
+    out.append(reinterpret_cast<const char*>(&v), 8);
+  };
+  put(0x4d49525253543031ull);
+  put(b.image);
+  put(b.chunk);
+  put(b.flags);
+  put(b.count);
+  for (const ChunkRecord& c : b.chunks) {
+    put(c.dirty);
+    for (const auto* list : {&c.mirrored, &c.dirty_ranges}) {
+      put(list->size());
+      for (const auto& [lo, hi] : *list) {
+        put(lo);
+        put(hi);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(LocalState, DeserializeAcceptsHandBuiltBlob) {
+  BlobSpec b;
+  b.chunks[1] = {1, {{110, 120}, {150, 160}}, {{115, 120}, {150, 151}}};
+  b.chunks[9] = {0, {{900, 1000}}, {}};
+  const std::string blob = encode(b);
+  auto st = LocalState::deserialize(blob);
+  ASSERT_TRUE(st.is_ok()) << st.status().to_string();
+  EXPECT_EQ(st->serialize(), blob);
+  EXPECT_EQ(st->mirrored_bytes(), 120u);
+  EXPECT_EQ(st->dirty_bytes(), 6u);
+}
+
+TEST(LocalState, DeserializeRejectsCorruption) {
+  struct Case {
+    const char* name;
+    const char* why;  // expected in the status message
+    BlobSpec blob;
+  };
+  auto with_chunk1 = [](ChunkRecord c) {
+    BlobSpec b;
+    b.chunks[1] = std::move(c);
+    return b;
+  };
+  BlobSpec huge_chunk;  // two 4 GiB chunks
+  huge_chunk.image = 2 * (std::uint64_t{1} << 32);
+  huge_chunk.chunk = std::uint64_t{1} << 32;
+  huge_chunk.count = 2;
+  huge_chunk.chunks.resize(2);
+  BlobSpec huge_count;  // 2^40 chunks claimed, none present
+  huge_count.image = std::uint64_t{1} << 40;
+  huge_count.chunk = 1;
+  huge_count.count = std::uint64_t{1} << 40;
+  huge_count.chunks.clear();
+  BlobSpec bad_flags;
+  bad_flags.flags = 4;
+  BlobSpec bad_count;
+  bad_count.count = 9;
+  bad_count.chunks.resize(9);
+  const Case cases[] = {
+      {"range before its chunk", "outside its chunk",
+       with_chunk1({0, {{50, 150}}, {}})},
+      {"range past its chunk", "outside its chunk",
+       with_chunk1({0, {{150, 201}}, {}})},
+      {"empty range", "empty range", with_chunk1({0, {{120, 120}}, {}})},
+      {"inverted range", "empty range", with_chunk1({0, {{130, 120}}, {}})},
+      {"unordered ranges", "unordered",
+       with_chunk1({0, {{150, 160}, {110, 120}}, {}})},
+      {"overlapping ranges", "overlapping",
+       with_chunk1({0, {{110, 130}, {120, 140}}, {}})},
+      {"adjacent ranges", "adjacent",
+       with_chunk1({0, {{110, 120}, {120, 130}}, {}})},
+      {"dirty range outside the mirrored set", "outside the mirrored set",
+       with_chunk1({1, {{110, 120}}, {{115, 125}}})},
+      {"dirty range in a mirrored gap", "outside the mirrored set",
+       with_chunk1({1, {{110, 120}, {130, 140}}, {{118, 132}}})},
+      {"dirty range outside its chunk", "outside its chunk",
+       with_chunk1({1, {{100, 200}}, {{190, 210}}})},
+      {"unordered dirty ranges", "unordered",
+       with_chunk1({1, {{100, 200}}, {{150, 160}, {110, 120}}})},
+      {"dirty flag with no dirty ranges", "disagrees",
+       with_chunk1({1, {{110, 120}}, {}})},
+      {"dirty ranges on a clean chunk", "disagrees",
+       with_chunk1({0, {{110, 120}}, {{110, 120}}})},
+      {"dirty flag not 0 or 1", "bad dirty flag",
+       with_chunk1({2, {{110, 120}}, {{110, 120}}})},
+      {"chunk size above UINT32_MAX", "chunk size", huge_chunk},
+      {"chunk count beyond the data", "truncated", huge_count},
+      {"unknown flag bits", "flag bits", bad_flags},
+      {"chunk count mismatch", "chunk count", bad_count},
+  };
+  for (const Case& c : cases) {
+    auto st = LocalState::deserialize(encode(c.blob));
+    ASSERT_FALSE(st.is_ok()) << c.name;
+    EXPECT_EQ(st.status().code(), StatusCode::kCorruption) << c.name;
+    EXPECT_NE(st.status().message().find(c.why), std::string::npos)
+        << c.name << ": " << st.status().to_string();
+  }
 }
 
 // The §3.3 guarantee: with strategy 2, fragmentation is bounded by one

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "blob/chunk.hpp"
 #include "common/rng.hpp"
@@ -21,18 +25,29 @@ constexpr std::uint64_t kSeed = 77;
 struct Fixture {
   BlobStore store{blob::StoreConfig{.providers = 4}};
   BlobId image = 0;
-  std::string dir;
-  int file_counter = 0;
+  std::vector<std::string> paths;
 
   Fixture() {
-    dir = ::testing::TempDir();
     image = store.create(kImage, kChunk).value();
     EXPECT_TRUE(store.write_pattern(image, 0, 0, kImage, kSeed).is_ok());
   }
 
+  // Removes the mirror files and their sidecars: a later test must never
+  // restore this test's local state.
+  ~Fixture() {
+    for (const std::string& p : paths) {
+      std::remove(p.c_str());
+      std::remove((p + ".meta").c_str());
+    }
+  }
+
+  // Unique across the whole process, not just this fixture.
   std::string fresh_path() {
-    return dir + "/mirror_" + std::to_string(::getpid()) + "_" +
-           std::to_string(file_counter++) + ".img";
+    static int counter = 0;
+    paths.push_back(::testing::TempDir() + "/mirror_" +
+                    std::to_string(::getpid()) + "_" +
+                    std::to_string(counter++) + ".img");
+    return paths.back();
   }
 
   std::unique_ptr<VirtualDisk> open_disk(const std::string& path,
@@ -209,6 +224,17 @@ TEST(VirtualDisk, BoundsChecked) {
   std::vector<std::byte> buf(100);
   EXPECT_EQ(disk->pread(kImage - 50, buf).code(), StatusCode::kOutOfRange);
   EXPECT_EQ(disk->pwrite(kImage - 50, buf).code(), StatusCode::kOutOfRange);
+}
+
+TEST(VirtualDisk, OpenRefuses4GiBChunks) {
+  Fixture fx;
+  // One chunk of 2^32 bytes: its offsets do not fit the 32-bit region.
+  const BlobId big = fx.store.create(kImage, Bytes{1} << 32).value();
+  VirtualDiskOptions opts;
+  opts.local_path = fx.fresh_path();
+  auto r = VirtualDisk::open(fx.store, big, 0, opts);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(VirtualDisk, RandomOpsMatchReferenceModel) {

@@ -65,6 +65,31 @@ TEST(JsonParse, StringEscapes) {
   EXPECT_EQ(r->as_string(), "a\n\t\"\\/Az");
 }
 
+TEST(JsonParse, UnicodeEscapesDecodeToUtf8) {
+  auto bmp = parse_json(R"("\u0041\u00e9\u20ac")");
+  ASSERT_TRUE(bmp.is_ok()) << bmp.status().to_string();
+  EXPECT_EQ(bmp->as_string(), "A\xc3\xa9\xe2\x82\xac");
+  // A surrogate pair is one code point, U+1F600: 4-byte UTF-8, not CESU-8.
+  auto pair = parse_json(R"("\ud83d\ude00!")");
+  ASSERT_TRUE(pair.is_ok()) << pair.status().to_string();
+  EXPECT_EQ(pair->as_string(), "\xf0\x9f\x98\x80!");
+}
+
+TEST(JsonParse, RejectsLoneSurrogates) {
+  for (const char* bad : {
+           R"("\ud83d")",        // high surrogate at the end
+           R"("\ud83dx")",       // high surrogate then a plain char
+           R"("\ud83d\n")",     // high surrogate then another escape
+           R"("\ud83d\u0041")", // high surrogate then a BMP escape
+           R"("\ud83d\ud83d")", // two high surrogates
+           R"("\ude00")",        // low surrogate alone
+           R"("\ud83d\ude0")",  // truncated low surrogate
+       }) {
+    auto r = parse_json(bad);
+    EXPECT_FALSE(r.is_ok()) << "accepted: " << bad;
+  }
+}
+
 TEST(JsonParse, RejectsMalformedInput) {
   for (const char* bad : {
            "",                 // empty document

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/sync.hpp"
@@ -127,6 +128,28 @@ TEST(Disk, AsyncWriteThrottledOverDirtyLimit) {
     EXPECT_DOUBLE_EQ(eng.now_seconds(), 8.0);
   }(e, d));
   e.run();
+}
+
+TEST(Disk, ThrottledWritersAdmittedInArrivalOrder) {
+  Engine e;
+  Disk d(e, simple_config());
+  std::vector<std::pair<int, double>> admitted;
+  e.spawn([](Disk& disk) -> Task<void> {
+    co_await disk.write_async(400);  // budget nearly full until t = 4 s
+  }(d));
+  for (int i = 1; i <= 5; ++i) {
+    e.spawn([](Engine& eng, Disk& disk, int id,
+               std::vector<std::pair<int, double>>* log) -> Task<void> {
+      co_await disk.write_async(300);
+      log->push_back({id, eng.now_seconds()});
+    }(e, d, i, &admitted));
+  }
+  e.run();
+  // One 300 B writer fits at a time; each waits for the previous flush
+  // (3 s at 100 B/s), strictly first come, first served.
+  const std::vector<std::pair<int, double>> want = {
+      {1, 4.0}, {2, 7.0}, {3, 10.0}, {4, 13.0}, {5, 16.0}};
+  EXPECT_EQ(admitted, want);
 }
 
 TEST(Disk, HugeAsyncWriteAdmittedWhenBufferEmpty) {
