@@ -1,7 +1,6 @@
 #include "mirror/sim_disk.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/rng.hpp"
 #include "sim/sync.hpp"
@@ -29,10 +28,9 @@ sim::Task<void> SimVirtualDisk::fetch_ranges(std::vector<ByteRange> ranges,
   // in access order), so take the true hull.
   ByteRange hull = ranges.front();
   for (const ByteRange& r : ranges) hull = hull.hull(r);
+  // Located in ascending chunk order, one entry per chunk of the hull.
   auto locs = co_await cluster_->locate(node_, target_blob_, target_version_, hull);
   ++stats_.locate_calls;
-  std::map<std::uint64_t, blob::ChunkLocation> by_chunk;
-  for (const auto& l : locs) by_chunk[l.chunk_index] = l;
 
   const Bytes chunk_size = state_.config().chunk_size;
   std::vector<sim::Task<void>> fetches;
@@ -55,18 +53,26 @@ sim::Task<void> SimVirtualDisk::fetch_ranges(std::vector<ByteRange> ranges,
         waits.push_back(infl->second);
         continue;
       }
-      auto it = by_chunk.find(ci);
-      if (it == by_chunk.end() || it->second.is_hole()) continue;  // zeros: local
+      auto it = std::lower_bound(
+          locs.begin(), locs.end(), ci,
+          [](const blob::ChunkLocation& l, std::uint64_t c) {
+            return l.chunk_index < c;
+          });
+      if (it == locs.end() || it->chunk_index != ci || it->is_hole()) {
+        continue;  // zeros: local
+      }
       if (register_inflight) {
         inflight_[ci] = std::make_shared<sim::Event>(engine, "mirror.inflight");
         registered.push_back(ci);
       }
-      fetches.push_back(cluster_->fetch(node_, it->second,
+      fetches.push_back(cluster_->fetch(node_, *it,
                                         sub.lo - ci * chunk_size, sub.size()));
       stats_.remote_bytes_fetched += sub.size();
       ++stats_.remote_fetches;
     }
   }
+  // Each fetch frame holds its own copy of its location.
+  std::vector<blob::ChunkLocation>().swap(locs);
   co_await sim::when_all(engine, std::move(fetches));
   // Mirror the fetched bytes into the local file (write-back).
   for (const ByteRange& r : ranges) {

@@ -10,6 +10,9 @@ namespace vmstorm::qcow {
 namespace {
 
 constexpr Bytes kHeaderBytes = 64;
+// Cluster sizes accepted by create() and open(): 512 B to 2 MiB, as qcow2.
+constexpr std::uint32_t kMinClusterBits = 9;
+constexpr std::uint32_t kMaxClusterBits = 21;
 
 void put_u32(std::byte* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
 void put_u64(std::byte* p, std::uint64_t v) { std::memcpy(p, &v, 8); }
@@ -30,9 +33,11 @@ Result<std::unique_ptr<Image>> Image::create(std::unique_ptr<ByteFile> file,
                                              Bytes virtual_size,
                                              Bytes cluster_size,
                                              ByteFile* backing) {
-  if (virtual_size == 0 || cluster_size == 0 ||
-      (cluster_size & (cluster_size - 1)) != 0) {
-    return invalid_argument("virtual size must be > 0, cluster size a power of two");
+  if (virtual_size == 0 || !std::has_single_bit(cluster_size) ||
+      cluster_size < (Bytes{1} << kMinClusterBits) ||
+      cluster_size > (Bytes{1} << kMaxClusterBits)) {
+    return invalid_argument(
+        "virtual size must be > 0, cluster size a power of two in [512 B, 2 MiB]");
   }
   if (backing != nullptr && backing->size() < virtual_size) {
     return invalid_argument("backing file smaller than virtual size");
@@ -66,11 +71,32 @@ Result<std::unique_ptr<Image>> Image::open(std::unique_ptr<ByteFile> file,
   img->backing_ = backing;
   img->virtual_size_ = get_u64(hdr + 8);
   const std::uint32_t cluster_bits = get_u32(hdr + 16);
+  if (cluster_bits < kMinClusterBits || cluster_bits > kMaxClusterBits) {
+    return corruption("qcow cluster size out of range");
+  }
   img->cluster_size_ = Bytes{1} << cluster_bits;
   img->entries_per_l2_ = img->cluster_size_ / 8;
   const std::uint32_t l1_entries = get_u32(hdr + 20);
   const std::uint64_t l1_offset = get_u64(hdr + 24);
   const std::uint64_t backing_size = get_u64(hdr + 32);
+  // Writes update L1 entries at kHeaderBytes + 8 * index, so the table must
+  // sit there; it must also fit in the file (checked before allocating it)
+  // and map every cluster of the virtual disk.
+  if (l1_offset != kHeaderBytes) return corruption("qcow L1 table misplaced");
+  const std::uint64_t grid = kHeaderBytes + std::uint64_t{l1_entries} * 8;
+  if (grid > img->file_->size()) {
+    return corruption("qcow L1 table extends past end of file");
+  }
+  // Allocation appends whole clusters, so a file off the grid is damaged
+  // (and would misalign every cluster allocated after it).
+  if ((img->file_->size() - grid) % img->cluster_size_ != 0) {
+    return corruption("qcow file size is not a whole number of clusters");
+  }
+  if (img->virtual_size_ == 0 ||
+      l1_entries < (img->cluster_count() + img->entries_per_l2_ - 1) /
+                       img->entries_per_l2_) {
+    return corruption("qcow L1 table does not cover the virtual size");
+  }
   if (backing_size == 0 && backing != nullptr) {
     return invalid_argument("image was created without a backing file");
   }
@@ -89,17 +115,30 @@ Result<std::unique_ptr<Image>> Image::open(std::unique_ptr<ByteFile> file,
   return img;
 }
 
+bool Image::valid_cluster_offset(std::uint64_t offset) const {
+  // Clusters (L2 tables included) are allocated whole at EOF, on the
+  // cluster grid that starts where the L1 table ends.
+  const std::uint64_t grid = kHeaderBytes + l1_.size() * 8;
+  return offset >= grid && (offset - grid) % cluster_size_ == 0 &&
+         offset <= file_->size() && file_->size() - offset >= cluster_size_;
+}
+
 Status Image::load_tables() {
   std::vector<std::byte> raw(entries_per_l2_ * 8);
   for (std::size_t i = 0; i < l1_.size(); ++i) {
     if (l1_[i] == 0) continue;
+    if (!valid_cluster_offset(l1_[i])) {
+      return corruption("qcow L2 table offset misaligned or past end of file");
+    }
     VMSTORM_RETURN_IF_ERROR(file_->pread(l1_[i], raw));
     l2_[i].resize(entries_per_l2_);
     for (std::uint64_t j = 0; j < entries_per_l2_; ++j) {
       l2_[i][j] = get_u64(raw.data() + j * 8);
-    }
-    for (std::uint64_t j = 0; j < entries_per_l2_; ++j) {
-      if (l2_[i][j] != 0) ++stats_.allocated_clusters;
+      if (l2_[i][j] == 0) continue;
+      if (!valid_cluster_offset(l2_[i][j])) {
+        return corruption("qcow cluster offset misaligned or past end of file");
+      }
+      ++stats_.allocated_clusters;
     }
   }
   return Status::ok();

@@ -53,7 +53,7 @@ class Image {
   Bytes virtual_size() const { return virtual_size_; }
   Bytes cluster_size() const { return cluster_size_; }
   std::uint64_t cluster_count() const {
-    return (virtual_size_ + cluster_size_ - 1) / cluster_size_;
+    return virtual_size_ / cluster_size_ + (virtual_size_ % cluster_size_ != 0);
   }
 
   Status read(Bytes offset, std::span<std::byte> out);
@@ -69,6 +69,9 @@ class Image {
   Image() = default;
 
   Status load_tables();
+  /// True when a cluster starts at `offset` on the image's cluster grid and
+  /// lies wholly inside the file.
+  bool valid_cluster_offset(std::uint64_t offset) const;
   Status persist_header();
   Result<Bytes> cluster_host_offset(std::uint64_t index) const;
   Result<Bytes> ensure_allocated(std::uint64_t index);

@@ -130,8 +130,7 @@ std::uint64_t Engine::run(SimTime until) {
   bool until_reached = false;
   while (!queue_.empty()) {
     double t0 = prof != nullptr ? obs::SelfProfiler::wall_now() : 0.0;
-    const QueuedEvent* head = queue_.peek();
-    if (until >= 0 && head->time > until) {
+    if (until >= 0 && queue_.next_time() > until) {
       if (prof != nullptr) {
         prof->charge(obs::SelfProfiler::kQueueOps,
                      obs::SelfProfiler::wall_now() - t0);

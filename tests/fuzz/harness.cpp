@@ -612,8 +612,8 @@ Program generate(std::uint64_t seed, Mode mode) {
       case OpKind::kPush:
         break;
       case OpKind::kFarSleeper:
-        // Milliseconds, up to 30 s: far beyond the calendar's initial year,
-        // so these ride the overflow list and drain through year jumps.
+        // Milliseconds, up to 30 s: far beyond the dense near-future
+        // wakeups, so the final drain crosses long empty stretches.
         op.a = static_cast<std::uint32_t>(1 + rng.uniform_u64(30000));
         break;
       case OpKind::kJoinTarget:

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+
 #include "blob/chunk.hpp"
 #include "common/rng.hpp"
 
@@ -23,6 +26,13 @@ TEST(QcowImage, CreateValidatesArguments) {
   EXPECT_FALSE(Image::create(std::make_unique<MemFile>(), 0, 512).is_ok());
   EXPECT_FALSE(Image::create(std::make_unique<MemFile>(), 1024, 0).is_ok());
   EXPECT_FALSE(Image::create(std::make_unique<MemFile>(), 1024, 500).is_ok());
+  // Powers of two outside [512 B, 2 MiB]; 4 B clusters would give L2 tables
+  // of zero entries.
+  EXPECT_FALSE(Image::create(std::make_unique<MemFile>(), 1024, 4).is_ok());
+  EXPECT_FALSE(Image::create(std::make_unique<MemFile>(), 1024, 256).is_ok());
+  EXPECT_FALSE(Image::create(std::make_unique<MemFile>(), 1024, 4_MiB).is_ok());
+  EXPECT_TRUE(Image::create(std::make_unique<MemFile>(), 1024, 512).is_ok());
+  EXPECT_TRUE(Image::create(std::make_unique<MemFile>(), 1024, 2_MiB).is_ok());
   auto small_backing = raw_backing(100, 1);
   EXPECT_FALSE(
       Image::create(std::make_unique<MemFile>(), 1024, 512, small_backing.get())
@@ -143,6 +153,68 @@ TEST(QcowImage, OpenRejectsGarbageAndMismatchedBacking) {
   }
   // Created with backing, opened without.
   EXPECT_FALSE(Image::open(std::make_unique<MemFile>(persisted)).is_ok());
+}
+
+TEST(QcowImage, OpenRejectsCorruption) {
+  // A valid image: 8 KiB virtual, 512 B clusters, so one L1 entry (the
+  // cluster grid starts at byte 72) and one L2 table, with clusters 0 and 3
+  // allocated.
+  auto file = std::make_unique<MemFile>();
+  MemFile* raw = file.get();
+  std::vector<std::byte> good;
+  {
+    auto img = Image::create(std::move(file), 8192, 512).value();
+    ASSERT_TRUE(img->write(0, make_bytes(512, 1)).is_ok());
+    ASSERT_TRUE(img->write(3 * 512, make_bytes(512, 2)).is_ok());
+    good = raw->data();
+  }
+  ASSERT_TRUE(Image::open(std::make_unique<MemFile>(good)).is_ok());
+
+  auto put32 = [](std::vector<std::byte>& f, std::size_t at, std::uint32_t v) {
+    std::memcpy(f.data() + at, &v, 4);
+  };
+  auto put64 = [](std::vector<std::byte>& f, std::size_t at, std::uint64_t v) {
+    std::memcpy(f.data() + at, &v, 8);
+  };
+  auto get64 = [](const std::vector<std::byte>& f, std::size_t at) {
+    std::uint64_t v;
+    std::memcpy(&v, f.data() + at, 8);
+    return v;
+  };
+  const std::uint64_t l2_at = get64(good, 64);  // L1[0]
+  const std::uint64_t end = good.size();
+  struct Case {
+    const char* what;
+    std::function<void(std::vector<std::byte>&)> mutate;
+  };
+  const std::vector<Case> cases = {
+      {"cluster_bits 64 (shift UB)", [&](auto& f) { put32(f, 16, 64); }},
+      {"cluster_bits 2 (no L2 entries)", [&](auto& f) { put32(f, 16, 2); }},
+      {"cluster_bits 8 (below 512 B)", [&](auto& f) { put32(f, 16, 8); }},
+      {"cluster_bits 22 (above 2 MiB)", [&](auto& f) { put32(f, 16, 22); }},
+      {"l1_entries 2^32-1 (table past EOF)",
+       [&](auto& f) { put32(f, 20, 0xffffffffu); }},
+      {"l1_offset not after the header", [&](auto& f) { put64(f, 24, 512); }},
+      {"virtual size 0", [&](auto& f) { put64(f, 8, 0); }},
+      {"virtual size beyond L1 coverage",
+       [&](auto& f) { put64(f, 8, 64 * 512 + 1); }},
+      {"virtual size 2^64-1", [&](auto& f) { put64(f, 8, ~std::uint64_t{0}); }},
+      {"file truncated mid-cluster", [&](auto& f) { f.pop_back(); }},
+      {"L1 entry off the cluster grid",
+       [&](auto& f) { put64(f, 64, l2_at + 8); }},
+      {"L1 entry past EOF", [&](auto& f) { put64(f, 64, end); }},
+      {"L1 entry inside the header", [&](auto& f) { put64(f, 64, 8); }},
+      {"L2 entry off the cluster grid",
+       [&](auto& f) { put64(f, l2_at, get64(f, l2_at) + 1); }},
+      {"L2 entry past EOF", [&](auto& f) { put64(f, l2_at + 8, end + 512); }},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::byte> bad = good;
+    c.mutate(bad);
+    auto r = Image::open(std::make_unique<MemFile>(bad));
+    ASSERT_FALSE(r.is_ok()) << c.what;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << c.what;
+  }
 }
 
 TEST(QcowImage, HostFileGrowsOnlyWithAllocation) {

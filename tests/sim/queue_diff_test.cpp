@@ -1,18 +1,17 @@
-// Differential harness: CalendarQueue vs a reference binary heap.
+// Differential harness: EventQueue vs a reference binary heap.
 //
-// The calendar queue replaced the engine's std::priority_queue on the promise
-// that dispatch order is EXACTLY ascending (time, seq) — every trace, metric,
-// and bench artifact in this repo is byte-identical per seed, so "almost
-// sorted" is a correctness bug. This harness drives both queues side by side
-// over Rng-generated schedule/pop/cancel programs shaped like the engine's
+// The engine's event queue promises that dispatch order is EXACTLY ascending
+// (time, seq) — every trace, metric, and bench artifact in this repo is
+// byte-identical per seed, so "almost sorted" is a correctness bug. This
+// harness drives the queue and std::priority_queue side by side over
+// Rng-generated schedule/pop/cancel programs shaped like the engine's
 // workloads (dense same-tick bursts, short near-future wakeups, far-future
-// outliers that force bucket resizes, interleaved waiter cancellation) and
-// asserts identical pop sequences, including which pops the engine would
-// drop on a dead guard.
+// outliers, interleaved waiter cancellation, a pending set deeper than
+// scale_10k's) and asserts identical pop sequences, including which pops
+// the engine would drop on a dead guard.
 //
-// The generator honors the engine's monotonicity contract: it never
-// schedules earlier than the last popped event's time (Engine::schedule_at
-// asserts t >= now_), because the calendar cursor leans on exactly that.
+// The generator never schedules earlier than the last popped event's time,
+// like the engine (Engine::schedule_at asserts t >= now_).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +19,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/calendar_queue.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/wait_pool.hpp"
 
 namespace vmstorm::sim {
@@ -37,7 +36,7 @@ struct RefEvent {
   }
 };
 
-/// Drives a CalendarQueue and a reference heap through the same schedule /
+/// Drives an EventQueue and a reference heap through the same schedule /
 /// pop / cancel interleaving and asserts identical pop order and guard
 /// verdicts. Returns the total number of pops compared.
 class DiffDriver {
@@ -54,12 +53,14 @@ class DiffDriver {
       WaitRef rec = pool_.make({}, 0, 0.0);
       ref.slot = rec.slot();
       ev.guard = WaitGuard{rec};
+      if (ref.slot >= pos_.size()) pos_.resize(ref.slot + 1, kGone);
+      pos_[ref.slot] = pending_.size();
       pending_.push_back(rec);
     }
     ++next_seq_;
-    cal_.enqueue(std::move(ev));
+    queue_.enqueue(std::move(ev));
     heap_.push(ref);
-    ASSERT_EQ(cal_.size(), heap_.size());
+    ASSERT_EQ(queue_.size(), heap_.size());
   }
 
   /// Marks a random still-pending waiter dead, like an awaiter destructor
@@ -70,23 +71,20 @@ class DiffDriver {
     const std::size_t i =
         static_cast<std::size_t>(rng_.uniform_u64(pending_.size()));
     pending_[i]->alive = false;
-    pending_[i] = pending_.back();
-    pending_.pop_back();
+    remove_pending(i);
   }
 
   void pop_one() {
-    ASSERT_FALSE(cal_.empty());
-    const QueuedEvent* head = cal_.peek();
-    ASSERT_NE(head, nullptr);
+    ASSERT_FALSE(queue_.empty());
     const RefEvent want = heap_.top();
-    // peek must already agree with the reference minimum.
-    ASSERT_EQ(head->time, want.time) << "peek time diverged at pop " << pops_;
-    ASSERT_EQ(head->seq, want.seq) << "peek seq diverged at pop " << pops_;
+    // next_time must already agree with the reference minimum.
+    ASSERT_EQ(queue_.next_time(), want.time)
+        << "next_time diverged at pop " << pops_;
     heap_.pop();
-    QueuedEvent got = cal_.dequeue();
+    QueuedEvent got = queue_.dequeue();
     ASSERT_EQ(got.time, want.time);
-    ASSERT_EQ(got.seq, want.seq);
-    ASSERT_GE(got.time, now_) << "calendar popped into the past";
+    ASSERT_EQ(got.seq, want.seq) << "seq diverged at pop " << pops_;
+    ASSERT_GE(got.time, now_) << "queue popped into the past";
     // The engine's drop decision must match: guarded events agree with the
     // record's alive flag (generation-checked through the pool).
     ASSERT_EQ(got.guard.unconditional(), !want.guarded);
@@ -97,11 +95,11 @@ class DiffDriver {
     now_ = got.time;
     if (want.guarded) retire(want.slot);
     ++pops_;
-    ASSERT_EQ(cal_.size(), heap_.size());
+    ASSERT_EQ(queue_.size(), heap_.size());
   }
 
   void drain() {
-    while (!cal_.empty()) {
+    while (!queue_.empty()) {
       pop_one();
       if (::testing::Test::HasFatalFailure()) return;
     }
@@ -109,36 +107,42 @@ class DiffDriver {
   }
 
   Rng& rng() { return rng_; }
-  std::size_t size() const { return cal_.size(); }
+  std::size_t size() const { return queue_.size(); }
   std::uint64_t pops() const { return pops_; }
   SimTime now() const { return now_; }
-  const CalendarQueue& calendar() const { return cal_; }
 
  private:
   /// Popped waiters leave the cancellable set — their guard left the queue,
   /// so flipping them later could no longer affect any verdict.
   void retire(std::uint32_t slot) {
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      if (pending_[i].slot() != slot) continue;
-      pending_[i] = pending_.back();
-      pending_.pop_back();
-      return;
-    }
+    if (pos_[slot] != kGone) remove_pending(pos_[slot]);
   }
+
+  /// Swap-with-last removal; pos_ keeps each pending slot's index so
+  /// retire() stays O(1) at the deep program's 50k pending waiters.
+  void remove_pending(std::size_t i) {
+    const std::uint32_t gone = pending_[i].slot();
+    pending_[i] = pending_.back();
+    pos_[pending_[i].slot()] = i;
+    pending_.pop_back();
+    pos_[gone] = kGone;
+  }
+
+  static constexpr std::size_t kGone = ~std::size_t{0};
 
   Rng rng_;
   WaitPool pool_;
-  CalendarQueue cal_;
+  EventQueue queue_;
   std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<>> heap_;
   std::vector<WaitRef> pending_;
+  std::vector<std::size_t> pos_;  ///< pool slot -> index in pending_
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t pops_ = 0;
 };
 
 // Weighted dt generator: mostly dense near-future, a same-tick burst share,
-// and rare far-future outliers (hours) that force the calendar to widen its
-// buckets and later shrink back.
+// and rare far-future outliers (hours).
 SimTime random_dt(Rng& rng) {
   const std::uint64_t pick = rng.uniform_u64(100);
   if (pick < 30) return 0;  // same tick
@@ -193,11 +197,8 @@ TEST(QueueDiff, SameTickBurstsKeepFifoOrder) {
 TEST(QueueDiff, FarFutureOutliersForceResizeAndStayOrdered) {
   DiffDriver d(11);
   Rng& rng = d.rng();
-  const std::size_t buckets_before = d.calendar().bucket_count();
-  bool saw_overflow = false;
-  // A dense near-future cluster forces ring growth (and the width re-pick),
-  // while far-future outliers ride the overflow list; the drain then walks
-  // year jumps, overflow migration, and the shrink path in one sweep.
+  // A dense near-future cluster with a far-future outlier every 20 events:
+  // the drain then pops the whole cluster before the first outlier.
   for (int i = 0; i < 3000; ++i) {
     const SimTime dt =
         i % 20 == 0
@@ -205,11 +206,29 @@ TEST(QueueDiff, FarFutureOutliersForceResizeAndStayOrdered) {
             : static_cast<SimTime>(rng.uniform_u64(2'000'000));
     d.schedule(dt, i % 3 == 0);
     if (i % 7 == 0) d.cancel_random();
-    saw_overflow = saw_overflow || d.calendar().overflow_count() > 0;
   }
-  EXPECT_GT(d.calendar().bucket_count(), buckets_before);
-  EXPECT_TRUE(saw_overflow) << "outliers never reached the overflow list";
   d.drain();
+}
+
+TEST(QueueDiff, DeepPendingSetSiftsAtFullDepth) {
+  // More pending events than scale_10k's peak depth (160,937): the 4-ary
+  // heap is ten levels deep, and every sift runs through all of them. Then
+  // churn at that depth (pop one, schedule one) before draining.
+  DiffDriver d(17);
+  Rng& rng = d.rng();
+  for (int i = 0; i < 200'000; ++i) {
+    d.schedule(random_dt(rng), i % 4 == 0);
+    if (i % 64 == 0) d.cancel_random();
+  }
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  EXPECT_EQ(d.size(), 200'000u);
+  for (int i = 0; i < 20'000; ++i) {
+    d.pop_one();
+    d.schedule(random_dt(rng), i % 2 == 0);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "churn step " << i;
+  }
+  d.drain();
+  EXPECT_EQ(d.pops(), 220'000u);
 }
 
 TEST(QueueDiff, InterleavedCancellationMatchesDropVerdicts) {

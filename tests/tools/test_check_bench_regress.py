@@ -2,9 +2,9 @@
 """Unit tests for tools/check_bench_regress.py.
 
 Builds fresh/baseline artifact pairs in memory and runs them through
-compare(), pinning down the exact-vs-banded split: deterministic "sim"
-counters must match bit-for-bit, host measurements get tolerance bands,
-and config drift is reported as a stale baseline rather than a regression.
+compare(): deterministic "sim" counters must match bit-for-bit, host
+measurements are not compared (perfbench gates those), and config drift is
+reported as a stale baseline rather than a regression.
 """
 import copy
 import importlib.util
@@ -70,43 +70,15 @@ class RegressTest(unittest.TestCase):
         baseline["timeline"] = None
         self.assertEqual(cbr.compare(doc(), baseline), [])
 
-    def test_events_per_sec_within_band_passes(self):
+    def test_overhead_section_is_not_compared(self):
+        # Host figures vary with the machine; perfbench gates them against
+        # its reference build, so no drift here may fail the artifact.
         fresh = doc()
         for a in fresh["overhead"]["arms"]:
-            a["events_per_sec"] = 30000.0  # 70% drop < default 75% band
+            a["events_per_sec"] /= 100
+            a["peak_rss_bytes"] *= 100
+        fresh["overhead"]["arms"] = fresh["overhead"]["arms"][:1]
         self.assertEqual(cbr.compare(fresh, doc()), [])
-
-    def test_events_per_sec_collapse_fails(self):
-        fresh = doc()
-        fresh["overhead"]["arms"][0]["events_per_sec"] = 10000.0  # 90% drop
-        errors = cbr.compare(fresh, doc())
-        self.assertTrue(any("off.events_per_sec" in e for e in errors))
-
-    def test_events_band_is_configurable(self):
-        fresh = doc()
-        fresh["overhead"]["arms"][0]["events_per_sec"] = 95000.0
-        self.assertEqual(cbr.compare(fresh, doc()), [])
-        errors = cbr.compare(fresh, doc(), events_tolerance=0.01)
-        self.assertTrue(errors)
-
-    def test_rss_growth_beyond_band_fails(self):
-        fresh = doc()
-        fresh["overhead"]["arms"][2]["peak_rss_bytes"] = 1 << 26  # 4x
-        errors = cbr.compare(fresh, doc())
-        self.assertTrue(any("full.peak_rss_bytes" in e for e in errors))
-
-    def test_faster_and_smaller_never_fails(self):
-        fresh = doc()
-        for a in fresh["overhead"]["arms"]:
-            a["events_per_sec"] *= 10
-            a["peak_rss_bytes"] //= 4
-        self.assertEqual(cbr.compare(fresh, doc()), [])
-
-    def test_missing_arm_fails(self):
-        fresh = doc()
-        fresh["overhead"]["arms"] = fresh["overhead"]["arms"][:2]
-        errors = cbr.compare(fresh, doc())
-        self.assertTrue(any("arm 'full' missing" in e for e in errors))
 
     def test_fingerprint_drift_is_stale_not_regressed(self):
         fresh = doc()
@@ -142,9 +114,8 @@ class RegressTest(unittest.TestCase):
         self.assertTrue(any("timeline" in e for e in errors))
 
     def test_require_exact_sim_stale_but_identical_sim_is_stale_only(self):
-        # A pure host-band refresh (config changed, sim identical): the flag
-        # must add nothing beyond the stale-baseline message — in particular
-        # no banded overhead comparison against an incomparable config.
+        # A pure config refresh (config changed, sim identical): the flag
+        # must add nothing beyond the stale-baseline message.
         fresh = doc()
         fresh["config"]["fingerprint"] = "fedcba9876543210"
         fresh["overhead"]["arms"][0]["events_per_sec"] = 1.0

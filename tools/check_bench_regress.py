@@ -2,24 +2,18 @@
 """Compare a fresh BENCH_engine.json against a committed baseline.
 
 Usage:  check_bench_regress.py FRESH.json [--baseline PATH]
-            [--events-tolerance F] [--rss-tolerance F] [--require-exact-sim]
+            [--require-exact-sim]
 
-Two kinds of comparison, split by what determinism guarantees:
+The deterministic engine counters (and the trace volume accounting) in the
+"sim" section are a pure function of the seed, so they must match the
+baseline EXACTLY — any drift means the simulation's event order changed,
+which is a behavioral regression however small. The optional "timeline"
+section is deterministic too (sampled on the simulated clock) and is
+compared exactly when both artifacts carry it.
 
-  sim       The deterministic engine counters (and the trace volume
-            accounting) are a pure function of the seed, so they must match
-            the baseline EXACTLY — any drift means the simulation's event
-            order changed, which is a behavioral regression however small.
-            The optional "timeline" section is deterministic too (sampled
-            on the simulated clock) and is compared exactly when both
-            artifacts carry it.
-
-  overhead  Host measurements (events/sec, peak RSS per arm) vary with the
-            machine, so they get a tolerance band: events/sec may drop at
-            most --events-tolerance (default 0.75, i.e. a >4x slowdown
-            fails) below the baseline, peak RSS may exceed it by at most
-            --rss-tolerance (default 0.5). Wide by design — the gate
-            catches order-of-magnitude regressions, not noise.
+Host measurements (the "overhead" section: events/sec, peak RSS) are not
+compared here. perfbench (perfbench/run.py) gates host time and peak RSS
+against its frozen reference build, with both builds sharing one CPU.
 
 Mismatched schema, quick flag, or config fingerprint means the baseline is
 stale rather than the build regressed; that fails with a distinct message
@@ -28,10 +22,9 @@ telling you to regenerate bench/baselines/.
 --require-exact-sim hardens the gate for CI: the deterministic "sim" (and
 "timeline") comparison runs even when the baseline looks stale, so a change
 that both touches the bench config AND reorders events cannot hide behind
-the "regenerate the baseline" message. A baseline refresh is only routine
-when it changes host bands; sim drift always needs explicit sign-off
-(committing the new sim section IS that sign-off — once committed, fresh
-runs match it again).
+the "regenerate the baseline" message. Sim drift always needs explicit
+sign-off (committing the new sim section IS that sign-off — once committed,
+fresh runs match it again).
 
 Default baseline: bench/baselines/BENCH_engine_quick.json when the fresh
 artifact says "quick": true, else bench/baselines/BENCH_engine.json, both
@@ -44,16 +37,8 @@ import json
 import pathlib
 import sys
 
-DEFAULT_EVENTS_TOLERANCE = 0.75
-DEFAULT_RSS_TOLERANCE = 0.5
 
-
-def _number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def compare(fresh, baseline, events_tolerance=DEFAULT_EVENTS_TOLERANCE,
-            rss_tolerance=DEFAULT_RSS_TOLERANCE, require_exact_sim=False):
+def compare(fresh, baseline, require_exact_sim=False):
     """Returns a list of violation strings (empty = no regression)."""
     stale = []
     for key in ("schema", "quick"):
@@ -76,7 +61,7 @@ def compare(fresh, baseline, events_tolerance=DEFAULT_EVENTS_TOLERANCE,
     # Deterministic section: exact match, deep. Under --require-exact-sim a
     # stale baseline does not excuse sim drift: event ordering must be
     # proven unchanged (or explicitly signed off by committing the new sim
-    # section) independently of host-band refreshes.
+    # section) independently of config refreshes.
     exact_note = ("deterministic counters must match exactly — sim drift "
                   "is an ordering change, not a baseline refresh"
                   if stale else
@@ -102,37 +87,6 @@ def compare(fresh, baseline, events_tolerance=DEFAULT_EVENTS_TOLERANCE,
             errors.append(
                 "timeline section differs from the baseline "
                 "(deterministic series must match exactly)")
-    if stale:
-        return errors  # banded host comparisons need a comparable config
-
-    # Host sections: banded.
-    base_arms = {a.get("name"): a
-                 for a in baseline.get("overhead", {}).get("arms", [])
-                 if isinstance(a, dict)}
-    fresh_arms = {a.get("name"): a
-                  for a in fresh.get("overhead", {}).get("arms", [])
-                  if isinstance(a, dict)}
-    for name, base in base_arms.items():
-        arm = fresh_arms.get(name)
-        if arm is None:
-            errors.append(f"overhead: arm {name!r} missing from fresh artifact")
-            continue
-        b_eps, f_eps = base.get("events_per_sec"), arm.get("events_per_sec")
-        if _number(b_eps) and _number(f_eps) and b_eps > 0:
-            floor = b_eps * (1.0 - events_tolerance)
-            if f_eps < floor:
-                errors.append(
-                    f"overhead.{name}.events_per_sec regressed: {f_eps:.0f} "
-                    f"< {floor:.0f} (baseline {b_eps:.0f}, tolerance "
-                    f"{events_tolerance})")
-        b_rss, f_rss = base.get("peak_rss_bytes"), arm.get("peak_rss_bytes")
-        if _number(b_rss) and _number(f_rss) and b_rss > 0:
-            ceil = b_rss * (1.0 + rss_tolerance)
-            if f_rss > ceil:
-                errors.append(
-                    f"overhead.{name}.peak_rss_bytes regressed: {f_rss} > "
-                    f"{ceil:.0f} (baseline {b_rss}, tolerance "
-                    f"{rss_tolerance})")
     return errors
 
 
@@ -149,12 +103,6 @@ def main(argv):
     ap.add_argument("fresh", help="freshly produced BENCH_engine.json")
     ap.add_argument("--baseline", help="baseline artifact "
                     "(default: bench/baselines/, picked by the quick flag)")
-    ap.add_argument("--events-tolerance", type=float,
-                    default=DEFAULT_EVENTS_TOLERANCE,
-                    help="max fractional events/sec drop (default %(default)s)")
-    ap.add_argument("--rss-tolerance", type=float,
-                    default=DEFAULT_RSS_TOLERANCE,
-                    help="max fractional peak-RSS growth (default %(default)s)")
     ap.add_argument("--require-exact-sim", action="store_true",
                     help="compare the deterministic sim/timeline sections "
                     "even when the baseline is stale, so ordering changes "
@@ -176,8 +124,7 @@ def main(argv):
               f"{e}", file=sys.stderr)
         return 2
 
-    errors = compare(fresh, baseline, args.events_tolerance,
-                     args.rss_tolerance,
+    errors = compare(fresh, baseline,
                      require_exact_sim=args.require_exact_sim)
     for line in errors:
         print(f"{args.fresh}: {line}", file=sys.stderr)

@@ -1,10 +1,9 @@
 """hot-path-alloc: no unbudgeted allocation in the dispatch/wakeup closure.
 
 The ROADMAP's 10k+ node scale item names per-wait WaitRecord allocations and
-hot-loop bookkeeping as the expected bottleneck, and the planned fixes
-(calendar queue, pooled WaitRecords, arena allocation) only stay fixed if a
-gate stops new allocations from leaking back into the hot set. This rule is
-that gate: blocking.toml [hot] declares the roots (Engine::run dispatch,
+hot-loop bookkeeping as the expected bottleneck, and the fixes (pooled
+WaitRecords, a slab-backed event queue) only stay fixed if a gate stops new
+allocations from leaking back into the hot set. This rule is that gate: blocking.toml [hot] declares the roots (Engine::run dispatch,
 schedule_at/schedule_start, every await_suspend, wake_waiter, FifoServer
 inner loops, ...), the call graph closes them forward, and any
 allocation-shaped operation inside the closure is a finding:
@@ -21,8 +20,9 @@ Deliberate allocations are escaped with `// vmlint:allow(hot-path-alloc)
 is recorded in the committed budget file tools/vmlint/hotpath_budget.txt.
 A new escape that is not in the budget fails --strict (subrule
 unbudgeted-allow, synthesized by the driver), and a budget entry whose
-escape was removed goes stale, so the budget only ever shrinks — the
-measurable gate the pooled-WaitRecord refactor will be judged against.
+escape was removed goes stale, so every change to the budget shows in the
+diff of that file. Amortized vector growth to a peak size (the event
+queue's key heap and payload slab) is budgeted like any other escape.
 
 Scoped to src/.
 """

