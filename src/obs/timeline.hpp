@@ -10,8 +10,7 @@
 //
 // Storage is ring-backed and preallocated: add_series()/configure() size
 // every buffer up front (setup-time allocation), and begin_sample()/
-// record() are plain indexed stores — no allocation on the sampling path,
-// so the hot-path budget (tools/vmlint/hotpath_budget.txt) does not grow.
+// record() are plain indexed stores — no allocation on the sampling path.
 // When a run outlives the ring, the oldest samples are overwritten and
 // counted in dropped_samples(); the retained window always ends at the
 // final sample.

@@ -45,15 +45,12 @@ TraceArg TraceArg::num(std::string key, double value) {
 }
 
 void Tracer::grow_ring() {
-  // Amortized doubling toward the cap, without push_back/reserve: the ring
-  // is on the engine's hot path, where vmlint's hot-path-alloc rule keeps
-  // per-event allocation calls out. Slot construction + move + swap is the
-  // sanctioned growth idiom (O(1) amortized, zero steady-state allocation).
+  // Double toward the cap. reserve() first, so the buffer is exactly `next`
+  // slots and never rounds past a cap that is not a power of two.
   std::size_t next = ring_.empty() ? 64 : ring_.size() * 2;
   if (next > capacity_) next = capacity_;
-  std::vector<TraceEvent> bigger(next);
-  std::move(ring_.begin(), ring_.end(), bigger.begin());
-  ring_.swap(bigger);
+  ring_.reserve(next);
+  ring_.resize(next);
 }
 
 TraceEvent& Tracer::push(double ts, double dur, char phase, std::uint32_t lane,
@@ -99,11 +96,9 @@ void Tracer::ensure_sampled_slot(SpanId id) {
   if (id < sampled_bits_.size()) return;
   std::size_t next = sampled_bits_.empty() ? 1024 : sampled_bits_.size();
   while (next <= id) next *= 2;
-  // Same growth idiom as the ring (new_span is hot via flow_begin). Absent
-  // ids default to "kept", matching span_sampled().
-  std::vector<std::uint8_t> bigger(next, 1);
-  std::copy(sampled_bits_.begin(), sampled_bits_.end(), bigger.begin());
-  sampled_bits_.swap(bigger);
+  // Absent ids default to "kept", matching span_sampled().
+  sampled_bits_.reserve(next);
+  sampled_bits_.resize(next, 1);
 }
 
 void Tracer::set_ring_capacity(std::size_t capacity) {

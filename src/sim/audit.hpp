@@ -91,7 +91,7 @@ class InvariantAuditor final : public Auditor {
   void on_wakeup_scheduled(std::uint64_t seq, WaitRef rec) override {
     // Open-addressed slot pool: steady-state inserts touch existing slots
     // only, so the auditor adds no per-event allocation on the engine's hot
-    // path (growth uses the sanctioned construct+move+swap idiom).
+    // path; rehash() rebuilds the table, larger if needed, at half full.
     if ((occupied_ + 1) * 2 > slots_.size()) rehash();
     const std::size_t mask = slots_.size() - 1;
     std::size_t i = hash(seq) & mask;

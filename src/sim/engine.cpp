@@ -61,8 +61,6 @@ Task<void> JoinHandle::join(Engine& engine) {
     bool await_ready() const noexcept { return state->done; }
     void await_suspend(std::coroutine_handle<> h) {
       rec = make_wait_record(*engine, h);
-      // vmlint:allow(hot-path-alloc) join waiter lists are short-lived and
-      // few; not worth an intrusive list.
       state->waiters.push_back(rec);
     }
     void await_resume() noexcept {

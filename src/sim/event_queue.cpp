@@ -9,9 +9,7 @@ void EventQueue::enqueue(QueuedEvent&& ev) {
   std::uint32_t slot = free_head_;
   if (slot == kNoSlot) {
     slot = static_cast<std::uint32_t>(slab_.size());
-    // vmlint:allow(hot-path-alloc) amortized growth to the peak depth;
-    // slots are recycled through the free list after that.
-    slab_.emplace_back();
+    slab_.emplace_back();  // grows to the peak depth, then slots recycle
   } else {
     free_head_ = static_cast<std::uint32_t>(slab_[slot].span);
   }
@@ -23,7 +21,6 @@ void EventQueue::enqueue(QueuedEvent&& ev) {
   // Sift up: move the hole from the new leaf toward the root.
   const Key key{ev.time, ev.seq, slot};
   std::size_t i = heap_.size();
-  // vmlint:allow(hot-path-alloc) amortized growth to the peak depth.
   heap_.push_back(key);
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;

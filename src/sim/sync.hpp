@@ -17,14 +17,12 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
-#include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "sim/causal.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/task.hpp"
 
 namespace vmstorm::sim {
@@ -37,8 +35,6 @@ template <typename List>
 inline WaitRef enlist_waiter(List& list, Engine& engine,
                              std::coroutine_handle<> h) {
   WaitRef rec = make_wait_record(engine, h);
-  // vmlint:allow(hot-path-alloc) waiter-list growth, one slot per blocked
-  // coroutine; an intrusive through-the-pool list is the escape's exit path.
   list.push_back(rec);
   return rec;
 }
@@ -148,8 +144,7 @@ class Semaphore {
 
   void release() {
     while (!waiters_.empty()) {
-      WaitRef rec = std::move(waiters_.front());
-      waiters_.pop_front();
+      WaitRef rec = waiters_.pop_front();
       if (!rec->alive) continue;  // waiter abandoned while queued
       // The permit is handed directly to the woken waiter.
       rec->granted = true;
@@ -166,7 +161,7 @@ class Semaphore {
   Engine* engine_;
   const char* trace_name_;
   std::size_t count_;
-  std::deque<WaitRef> waiters_;
+  detail::Fifo<WaitRef> waiters_;
 };
 
 /// Unbounded single-direction channel of T. Multiple producers, multiple
@@ -178,8 +173,6 @@ class Channel {
       : engine_(&engine), trace_name_(trace_name) {}
 
   void push(T value) {
-    // vmlint:allow(hot-path-alloc) unbounded channel buffer by design;
-    // a fixed-capacity ring variant is the escape's exit path.
     items_.push_back(std::move(value));
     wake_one();
   }
@@ -210,9 +203,7 @@ class Channel {
     };
     // Under multiple consumers a wakeup can race with another consumer; loop.
     while (items_.empty()) co_await Awaiter{this};
-    T v = std::move(items_.front());
-    items_.pop_front();
-    co_return v;
+    co_return items_.pop_front();
   }
 
   std::size_t size() const { return items_.size(); }
@@ -221,8 +212,7 @@ class Channel {
  private:
   void wake_one() {
     while (!waiters_.empty()) {
-      WaitRef rec = std::move(waiters_.front());
-      waiters_.pop_front();
+      WaitRef rec = waiters_.pop_front();
       if (!rec->alive) continue;
       rec->granted = true;
       wake_waiter(*engine_, rec);
@@ -232,16 +222,12 @@ class Channel {
 
   Engine* engine_;
   const char* trace_name_;
-  std::deque<T> items_;
-  std::deque<WaitRef> waiters_;
+  detail::Fifo<T> items_;
+  detail::Fifo<WaitRef> waiters_;
 };
 
 /// Spawns all tasks and waits for every one to finish. Exceptions from
 /// children propagate (the first one encountered in join order).
 Task<void> when_all(Engine& engine, std::vector<Task<void>> tasks);
-
-/// Runs tasks with at most `limit` in flight at once (FIFO admission).
-Task<void> when_all_limited(Engine& engine, std::vector<Task<void>> tasks,
-                            std::size_t limit);
 
 }  // namespace vmstorm::sim

@@ -38,14 +38,10 @@ std::uint32_t WaitPool::alloc_slot() {
 }
 
 void WaitPool::grow() {
-  // Double the slab with the construct+move+swap idiom (the one growth form
-  // sanctioned on hot paths — see tools/vmlint/rules/hot_path_alloc.py) and
-  // thread the fresh slots onto the free list.
+  // Double the slab and thread the fresh slots onto the free list.
   const std::size_t old_size = slots_.size();
   const std::size_t new_size = old_size == 0 ? 64 : old_size * 2;
-  std::vector<Slot> bigger(new_size);
-  for (std::size_t i = 0; i < old_size; ++i) bigger[i] = std::move(slots_[i]);
-  slots_.swap(bigger);
+  slots_.resize(new_size);
   for (std::size_t i = new_size; i-- > old_size;) {
     slots_[i].next_free = free_head_;
     free_head_ = static_cast<std::uint32_t>(i);

@@ -6,13 +6,11 @@
 // per suspension, millions per run at 10k instances — as a top hot-path
 // allocation source, so records now live in a slab pool owned by the Engine:
 //
-//   WaitPool   slab of slots with a LIFO free list. The slab grows by the
-//              sanctioned construct+move+swap idiom so the growth path stays
-//              out of vmlint's hot-path-alloc findings, and the pool carries
-//              the engine's wait-record telemetry (created / live / live
-//              high-water) with semantics identical to the shared_ptr era:
-//              a record counts as live from make() until its last reference
-//              drops.
+//   WaitPool   slab of slots with a LIFO free list; the slab doubles when
+//              the list runs dry. The pool carries the engine's wait-record
+//              telemetry (created / live / live high-water) with semantics
+//              identical to the shared_ptr era: a record counts as live
+//              from make() until its last reference drops.
 //   WaitRef    intrusive-refcounted handle to a slot; the drop-to-zero of
 //              the last WaitRef (or owning WaitGuard) recycles the slot,
 //              exactly mirroring the shared_ptr lifetime it replaces, so the

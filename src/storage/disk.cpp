@@ -70,8 +70,6 @@ sim::Task<void> Disk::write_async(Bytes bytes, std::uint64_t cache_key) {
     void await_suspend(std::coroutine_handle<> h) {
       sim::WaitRef r = sim::make_wait_record(*disk->engine_, h);
       rec = r;
-      // vmlint:allow(hot-path-alloc) admission queue growth is bounded by
-      // writers-in-flight; intrusive pool lists are the exit path.
       disk->dirty_waiters_.push_back({need, std::move(r)});
     }
     void await_resume() noexcept {
@@ -111,22 +109,13 @@ sim::Task<void> Disk::flusher(Bytes bytes) {
 
 void Disk::wake_dirty_waiters() {
   // Admit waiters FIFO while the budget allows; they re-check on resume.
-  while (dirty_head_ < dirty_waiters_.size()) {
-    DirtyWaiter& w = dirty_waiters_[dirty_head_];
+  while (!dirty_waiters_.empty()) {
+    DirtyWaiter& w = dirty_waiters_.front();
     if (w.rec->alive) {
       if (dirty_bytes_ != 0 && dirty_bytes_ + w.need > cfg_.dirty_limit) break;
       sim::wake_waiter(*engine_, w.rec);
     }
-    w.rec = {};
-    ++dirty_head_;
-  }
-  // Drop the admitted prefix once it is half the queue or more: amortized
-  // O(1) per waiter, and memory bounded by the waiters still queued.
-  if (dirty_head_ * 2 >= dirty_waiters_.size()) {
-    dirty_waiters_.erase(dirty_waiters_.begin(),
-                         dirty_waiters_.begin() +
-                             static_cast<std::ptrdiff_t>(dirty_head_));
-    dirty_head_ = 0;
+    dirty_waiters_.pop_front();
   }
 }
 
@@ -143,8 +132,6 @@ sim::Task<void> Disk::flush() {
     bool await_ready() const { return disk->flushes_in_flight_ == 0; }
     void await_suspend(std::coroutine_handle<> h) {
       rec = sim::make_wait_record(*disk->engine_, h);
-      // vmlint:allow(hot-path-alloc) flush waiters are rare (one per
-      // explicit flush); intrusive pool lists are the exit path.
       disk->flush_waiters_.push_back(rec);
     }
     void await_resume() noexcept {

@@ -24,6 +24,7 @@
 
 #include "common/units.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/resource.hpp"
 #include "sim/task.hpp"
 
@@ -110,10 +111,7 @@ class Disk {
   Bytes cache_bytes_ = 0;
 
   Bytes dirty_bytes_ = 0;
-  // FIFO admission queue: dirty_waiters_[dirty_head_..] wait, in order.
-  // A vector, unlike std::deque, allocates nothing until the first waiter.
-  std::vector<DirtyWaiter> dirty_waiters_;
-  std::size_t dirty_head_ = 0;
+  sim::detail::Fifo<DirtyWaiter> dirty_waiters_;  ///< admission queue
   std::uint64_t flushes_in_flight_ = 0;
   std::vector<sim::WaitRef> flush_waiters_;
 

@@ -30,7 +30,7 @@ from tokenizer import tokenize, masked_lines  # noqa: E402
 
 def run_rule(rule_name):
     """All reportable findings for one rule over the fixture tree, as a set
-    of (rel, line, rule_label) triples. Allow-escaped findings are split out
+    of (rel, line, rule_label) triples. Allow-escaped findings are dropped
     by run_rules and do not appear here."""
     project = core.walk_project(FIXTURES)
     result = core.run_rules(project, make_rules([rule_name]))
@@ -276,22 +276,6 @@ def test_lock_across_await_rule():
     assert got == want, (got, want)
 
 
-def test_hot_path_alloc_rule():
-    bad = "src/sim/hot_bad.cpp"
-    got = run_rule("hot-path-alloc")
-    want = {
-        (bad, line_of(bad, "hot-alloc-call"),
-         "hot-path-alloc/alloc-call"),
-        (bad, line_of(bad, "hot-std-function"),
-         "hot-path-alloc/std-function"),
-        (bad, line_of(bad, "hot-new-expression"),
-         "hot-path-alloc/new-expression"),
-    }
-    # hot_good.cpp: cold allocations and the budget-tracked allow escape
-    # produce no reportable findings (the escape lands in result.allowed).
-    assert got == want, (got, want)
-
-
 def test_span_coverage_rule():
     bad = "src/sim/span_bad.cpp"
     got = run_rule("span-coverage")
@@ -353,8 +337,8 @@ def test_env_discipline_rule():
 
 def test_callgraph_cross_tu_blocking():
     """Blocking propagates from a co_await in one TU, through a
-    header-declared function, to callers in another TU; hot-set closure
-    covers same-class calls."""
+    header-declared function, to callers in another TU, and stops at
+    functions that never reach a suspension point."""
     import callgraph
     project = core.walk_project(FIXTURES)
     graph = callgraph.get(project)
@@ -375,16 +359,8 @@ def test_callgraph_cross_tu_blocking():
     locked = one("fixture::locked_across_call", "src/sim/lock_bad.cpp")
     assert helper.blocking and locked.blocking
 
-    cold = one("fixture::cold_setup", "src/sim/hot_bad.cpp")
-    assert not cold.blocking and not cold.hot
-
-    run = one("fixture::Engine::run", "src/sim/hot_bad.cpp")
-    enqueue = one("fixture::Engine::enqueue", "src/sim/hot_bad.cpp")
-    assert run.hot and enqueue.hot
-    assert enqueue.hot_root == "Engine::run"
-
-    prepare = one("fixture::Warmup::prepare", "src/sim/hot_good.cpp")
-    assert not prepare.hot
+    plain = one("fixture::plain_guarded", "src/sim/lock_good.cpp")
+    assert not plain.blocking and not plain.has_co_await
 
 
 # ----------------------------------------------------- escapes and baseline
@@ -455,8 +431,8 @@ def test_cli_list_rules():
     listed = [line.split(":", 1)[0] for line in proc.stdout.splitlines()]
     assert listed == ["determinism", "coro-capture", "layer-dag",
                       "status-discipline", "lock-across-await",
-                      "hot-path-alloc", "span-coverage",
-                      "determinism-taint", "env-read-discipline"], listed
+                      "span-coverage", "determinism-taint",
+                      "env-read-discipline"], listed
 
 
 def test_cli_unknown_rule():
@@ -519,47 +495,6 @@ def test_cli_dataflow_stats():
     assert flow["kinds"]["host"]["entry_tainted_params"] > 0, flow
     # Non-taint runs keep the block null (see test_cli_stats_json's rules).
     assert stats["callgraph"] is not None, stats
-
-
-def test_cli_hotpath_budget_roundtrip():
-    """The allow(hot-path-alloc) escape in hot_good.cpp must be reconciled
-    against the budget file: unbudgeted -> finding, budgeted -> clean,
-    budgeted-but-gone -> stale (fails --strict only)."""
-    base = [sys.executable, VMLINT_PY, "--root", FIXTURES,
-            "--rules", "hot-path-alloc", "--baseline", os.devnull]
-    with tempfile.TemporaryDirectory() as tmp:
-        budget = os.path.join(tmp, "budget.txt")
-
-        # No budget file: the escape is reported as unbudgeted-allow.
-        proc = subprocess.run(base + ["--hotpath-budget", budget],
-                              capture_output=True, text=True)
-        assert proc.returncode == 1, proc
-        assert "hot-path-alloc/unbudgeted-allow" in proc.stdout, proc.stdout
-
-        # --fix-hotpath-budget writes it; the run is then clean except for
-        # hot_bad.cpp's real findings.
-        proc = subprocess.run(
-            base + ["--hotpath-budget", budget, "--fix-hotpath-budget"],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc
-        with open(budget, encoding="utf-8") as f:
-            entries = [ln for ln in f.read().splitlines()
-                       if ln and not ln.startswith("#")]
-        assert len(entries) == 1 and "hot_good.cpp" in entries[0], entries
-        proc = subprocess.run(base + ["--hotpath-budget", budget],
-                              capture_output=True, text=True)
-        assert "unbudgeted-allow" not in proc.stdout, proc.stdout
-
-        # A stale budget entry (escape removed) fails only under --strict.
-        with open(budget, "a", encoding="utf-8") as f:
-            f.write("hot-path-alloc\tsrc/sim/gone.cpp\tpush_back(x);\n")
-        proc = subprocess.run(base + ["--hotpath-budget", budget],
-                              capture_output=True, text=True)
-        assert "stale hot-path budget entry" in proc.stdout, proc.stdout
-        proc = subprocess.run(
-            base + ["--hotpath-budget", budget, "--strict"],
-            capture_output=True, text=True)
-        assert proc.returncode == 1, proc
 
 
 def main():

@@ -12,15 +12,11 @@ regions already stripped by the tokenizer) recovers:
     the token span of the argument list;
   * `co_await` occurrences per function body.
 
-On top of that it computes two transitive sets configured by blocking.toml:
-
-  blocking  — functions that can reach a suspension point: seeded by bodies
-              containing `co_await` plus the configured blocking leaves
-              (Engine::sleep, FifoServer::serve, Semaphore::acquire, ...),
-              closed under a fixpoint over call edges.
-  hot       — functions reachable *from* the configured hot roots (the
-              per-event dispatch and wakeup machinery), used by
-              hot-path-alloc.
+On top of that it computes the blocking set configured by blocking.toml:
+functions that can reach a suspension point, seeded by bodies containing
+`co_await` plus the configured blocking leaves (Engine::sleep,
+FifoServer::serve, Semaphore::acquire, ...), closed under a fixpoint over
+call edges.
 
 Name resolution is deliberately conservative, tuned to fail toward silence:
 
@@ -91,8 +87,6 @@ class FunctionDef:
     cls: str = ""      # namespace-stripped class key ("Engine::SleepAwaiter")
     blocking: bool = False
     blocking_why: str = ""
-    hot: bool = False
-    hot_root: str = ""  # the configured root whose closure reached this fn
 
     def display(self):
         return "::".join(self.path)
@@ -491,8 +485,8 @@ def combine(flags, mode):
 
 
 class CallGraph:
-    """The parsed project: FunctionDefs, resolved call edges, blocking and
-    hot transitive sets, and build statistics."""
+    """The parsed project: FunctionDefs, resolved call edges, the blocking
+    transitive set, and build statistics."""
 
     def __init__(self, project, config=None):
         t0 = time.perf_counter()
@@ -531,14 +525,12 @@ class CallGraph:
                 n_resolved += bool(site.cands)
 
         self._compute_blocking()
-        self._compute_hot()
         self.stats = {
             "files": len(self._code_toks),
             "functions": len(self.functions),
             "call_sites": n_sites,
             "resolved_call_sites": n_resolved,
             "blocking_set": sum(f.blocking for f in self.functions),
-            "hot_set": sum(f.hot for f in self.functions),
             "build_seconds": round(time.perf_counter() - t0, 4),
         }
 
@@ -579,7 +571,7 @@ class CallGraph:
                 return same
         return list(cands)
 
-    # -- transitive sets -----------------------------------------------------
+    # -- blocking set --------------------------------------------------------
 
     def _compute_blocking(self):
         seeds = [tuple(s.split("::"))
@@ -606,26 +598,6 @@ class CallGraph:
                             f"(line {site.line})")
                         changed = True
                         break
-
-    def _compute_hot(self):
-        roots = [tuple(s.split("::"))
-                 for s in self.config.get("hot", {}).get("roots", [])]
-        queue = []
-        for fn in self.functions:
-            for r in roots:
-                if fn.path[-len(r):] == r:
-                    fn.hot = True
-                    fn.hot_root = "::".join(r)
-                    queue.append(fn)
-                    break
-        while queue:
-            fn = queue.pop(0)
-            for site in fn.calls:
-                for c in site.cands:
-                    if not c.hot:
-                        c.hot = True
-                        c.hot_root = fn.hot_root
-                        queue.append(c)
 
 
 def creates_wait_record(toks, fn):

@@ -169,36 +169,27 @@ _BASELINE_HEADER = (
     "# state of this file is EMPTY: fix findings instead of adding here.\n")
 
 
-def save_baseline(path, keyed_findings, header=_BASELINE_HEADER):
+def save_baseline(path, keyed_findings):
     with open(path, "w", encoding="utf-8") as f:
-        f.write(header)
+        f.write(_BASELINE_HEADER)
         for key in sorted(keyed_findings):
             f.write(key + "\n")
 
 
 class RunResult:
-    """Outcome of run_rules: reportable findings, allow-escaped findings
-    (the hot-path budget is reconciled against these), and per-rule wall
-    timings for --stats."""
+    """Outcome of run_rules: reportable findings and per-rule wall timings
+    for --stats."""
 
-    def __init__(self, findings, allowed, timings):
+    def __init__(self, findings, timings):
         self.findings = findings  # [(Finding, SourceFile)] not allow-escaped
-        self.allowed = allowed    # [(Finding, SourceFile)] allow-escaped
         self.timings = timings    # [{"rule", "seconds", "findings", ...}]
-
-
-def _sorted_pairs(pairs):
-    pairs.sort(key=lambda pair: (pair[0].rel, pair[0].line,
-                                 pair[0].rule_label()))
-    return pairs
 
 
 def run_rules(project, rules):
     """Runs each rule over the project. Returns a RunResult; allow-escaped
-    findings are split out (not dropped) so the driver can reconcile
-    hot-path-alloc escapes against the committed budget. Both lists are
-    sorted for deterministic output."""
-    findings, allowed, timings = [], [], []
+    findings are counted per rule and dropped. Findings are sorted for
+    deterministic output."""
+    findings, timings = [], []
     for rule in rules:
         t0 = time.perf_counter()
         n_find = n_allow = 0
@@ -208,7 +199,6 @@ def run_rules(project, rules):
         for sf in project.sources():
             for finding in rule.visit(sf, sf.tokens):
                 if sf.allowed(finding):
-                    allowed.append((finding, sf))
                     n_allow += 1
                 else:
                     findings.append((finding, sf))
@@ -219,8 +209,9 @@ def run_rules(project, rules):
             "findings": n_find,
             "allowed": n_allow,
         })
-    return RunResult(_sorted_pairs(findings), _sorted_pairs(allowed),
-                     timings)
+    findings.sort(key=lambda pair: (pair[0].rel, pair[0].line,
+                                    pair[0].rule_label()))
+    return RunResult(findings, timings)
 
 
 def apply_baseline(findings, baseline):
@@ -240,22 +231,16 @@ def apply_baseline(findings, baseline):
 
 
 def print_report(new, grandfathered, stale, n_files, n_rules, strict,
-                 out=sys.stdout, budget_stale=()):
+                 out=sys.stdout):
     for finding, _ in new:
         print(finding.render(), file=out)
     for key in stale:
         print(f"stale baseline entry (fix with --fix-baseline): {key}",
               file=out)
-    for key in budget_stale:
-        print("stale hot-path budget entry "
-              f"(fix with --fix-hotpath-budget): {key}", file=out)
-    failed = bool(new) or (strict and bool(stale or budget_stale))
+    failed = bool(new) or (strict and bool(stale))
     status = "FAILED" if failed else "OK"
     extra = f", {len(grandfathered)} baselined" if grandfathered else ""
-    stale_bits = f"{len(stale)} stale baseline entr(ies)"
-    if budget_stale:
-        stale_bits += f", {len(budget_stale)} stale budget entr(ies)"
     print(f"vmlint: {status} — {len(new)} finding(s){extra}, "
-          f"{stale_bits} in {n_files} file(s) "
+          f"{len(stale)} stale baseline entr(ies) in {n_files} file(s) "
           f"across {n_rules} rule(s)", file=out)
     return 1 if failed else 0

@@ -14,7 +14,6 @@ from rules.coro_capture import CoroCaptureRule
 from rules.layer_dag import LayerDagRule
 from rules.status_discipline import StatusDisciplineRule
 from rules.lock_across_await import LockAcrossAwaitRule
-from rules.hot_path_alloc import HotPathAllocRule
 from rules.span_coverage import SpanCoverageRule
 from rules.determinism_taint import DeterminismTaintRule
 from rules.env_discipline import EnvDisciplineRule
@@ -25,7 +24,6 @@ ALL_RULES = (
     LayerDagRule,
     StatusDisciplineRule,
     LockAcrossAwaitRule,
-    HotPathAllocRule,
     SpanCoverageRule,
     DeterminismTaintRule,
     EnvDisciplineRule,

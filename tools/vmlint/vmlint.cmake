@@ -7,8 +7,8 @@ find_program(VMSTORM_PYTHON3 python3)
 if(VMSTORM_PYTHON3)
   set(VMSTORM_VMLINT_RULES
       determinism coro-capture layer-dag status-discipline
-      lock-across-await hot-path-alloc span-coverage
-      determinism-taint env-read-discipline)
+      lock-across-await span-coverage determinism-taint
+      env-read-discipline)
   foreach(_rule IN LISTS VMSTORM_VMLINT_RULES)
     string(REPLACE "-" "_" _rule_id "${_rule}")
     add_test(NAME vmlint_${_rule_id}

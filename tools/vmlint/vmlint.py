@@ -4,39 +4,31 @@
 Usage:
   tools/vmlint/vmlint.py [--root DIR] [--rules r1,r2,...] [--strict]
                          [--baseline FILE] [--fix-baseline]
-                         [--hotpath-budget FILE] [--fix-hotpath-budget]
                          [--stats FILE] [--list-rules]
 
 Runs the registered rules (see rules/__init__.py) over src/, tests/,
 bench/, examples/ and tools/ (each rule scopes itself further). Exit 0
-when clean, 1 on findings (or, with --strict, stale baseline/budget
-entries), 2 on usage/configuration errors.
+when clean, 1 on findings (or, with --strict, stale baseline entries),
+2 on usage/configuration errors.
 
   --rules         comma-separated subset (default: all). Token rules:
                   determinism, coro-capture, layer-dag, status-discipline.
                   Call-graph rules (cross-TU, see callgraph.py):
-                  lock-across-await, hot-path-alloc, span-coverage,
-                  determinism-taint, env-read-discipline.
+                  lock-across-await, span-coverage, determinism-taint,
+                  env-read-discipline.
   --baseline      grandfathered-findings file
                   (default: tools/vmlint/baseline.txt under --root)
   --fix-baseline  rewrite the baseline from current findings and exit 0
-  --hotpath-budget       committed hot-path-alloc escape budget
-                         (default: tools/vmlint/hotpath_budget.txt)
-  --fix-hotpath-budget   rewrite the budget from the current
-                         vmlint:allow(hot-path-alloc) escapes and exit 0
   --stats FILE    write machine-readable run stats as JSON ("-" = stdout):
                   per-rule wall timings and finding counts, plus call-graph
-                  size (functions, call sites, blocking/hot set sizes) when
-                  a graph rule ran
-  --strict        fail on stale baseline/budget entries too (CI mode)
+                  size (functions, call sites, blocking set size) when a
+                  graph rule ran
+  --strict        fail on stale baseline entries too (CI mode)
   --list-rules    print "name: description" per rule and exit
 
 Suppress a deliberate finding with `// vmlint:allow(<rule>) <reason>` on
 the same line or the line above; sub-rule names (e.g. naked-value) work
-too, as does the legacy `lint:allow(...)` spelling. hot-path-alloc escapes
-are additionally reconciled against the committed budget file: an escape
-that is not in the budget is a finding (unbudgeted-allow), and a budget
-entry whose escape disappeared goes stale — the budget only ever shrinks.
+too, as does the legacy `lint:allow(...)` spelling.
 """
 
 import argparse
@@ -79,8 +71,6 @@ def main(argv):
                     help="comma-separated rule names (default: all)")
     ap.add_argument("--baseline", default=None)
     ap.add_argument("--fix-baseline", action="store_true")
-    ap.add_argument("--hotpath-budget", default=None)
-    ap.add_argument("--fix-hotpath-budget", action="store_true")
     ap.add_argument("--stats", default=None, metavar="FILE",
                     help="write run statistics as JSON ('-' for stdout)")
     ap.add_argument("--strict", action="store_true")
@@ -98,8 +88,6 @@ def main(argv):
         return 2
     baseline_path = args.baseline or os.path.join(
         root, "tools", "vmlint", "baseline.txt")
-    budget_path = args.hotpath_budget or os.path.join(
-        root, "tools", "vmlint", "hotpath_budget.txt")
 
     try:
         rules = make_rules(args.rules.split(",") if args.rules else None)
@@ -110,56 +98,21 @@ def main(argv):
         return 2
 
     findings = result.findings
-    hot_allows = [(f, sf) for f, sf in result.allowed
-                  if f.rule == "hot-path-alloc"]
-    budget_active = any(r.name == "hot-path-alloc" for r in rules)
-
-    if args.fix_baseline or args.fix_hotpath_budget:
-        if args.fix_baseline:
-            keys = [f.baseline_key(sf) for f, sf in findings]
-            core.save_baseline(baseline_path, keys)
-            print(f"vmlint: baseline rewritten with {len(keys)} entr(ies) "
-                  f"at {os.path.relpath(baseline_path, root)}")
-        if args.fix_hotpath_budget:
-            keys = [f.baseline_key(sf) for f, sf in hot_allows]
-            core.save_baseline(
-                budget_path, keys, header=(
-                    "# vmlint hot-path allocation budget — every committed\n"
-                    "# vmlint:allow(hot-path-alloc) escape, one per line as\n"
-                    "# <rule>\\t<path>\\t<normalized source line>.\n"
-                    "# Regenerate with vmlint.py --fix-hotpath-budget.\n"
-                    "# An entry is added only with a reason at its escape;\n"
-                    "# the event queue's two are amortized heap/slab growth.\n"))
-            print(f"vmlint: hot-path budget rewritten with {len(keys)} "
-                  "entr(ies) at "
-                  f"{os.path.relpath(budget_path, root)}")
+    if args.fix_baseline:
+        keys = [f.baseline_key(sf) for f, sf in findings]
+        core.save_baseline(baseline_path, keys)
+        print(f"vmlint: baseline rewritten with {len(keys)} entr(ies) "
+              f"at {os.path.relpath(baseline_path, root)}")
         return 0
 
     baseline = core.load_baseline(baseline_path)
     new, grandfathered, stale = core.apply_baseline(findings, baseline)
 
-    budget_stale = []
-    if budget_active:
-        budget = core.load_baseline(budget_path)
-        unbudgeted, _, budget_stale = core.apply_baseline(hot_allows, budget)
-        rel_budget = os.path.relpath(budget_path, root)
-        for f, sf in unbudgeted:
-            new.append((core.Finding(
-                "hot-path-alloc", f.rel, f.line,
-                "vmlint:allow(hot-path-alloc) escape is not in the "
-                f"committed budget ({rel_budget}): justify it there via "
-                "--fix-hotpath-budget, or remove the allocation. "
-                f"Escaped finding: {f.message}",
-                subrule="unbudgeted-allow"), sf))
-        new.sort(key=lambda pair: (pair[0].rel, pair[0].line,
-                                   pair[0].rule_label()))
-
     if args.stats:
         _write_stats(args.stats, project, result, len(new),
-                     len(grandfathered), len(stale) + len(budget_stale))
+                     len(grandfathered), len(stale))
     return core.print_report(new, grandfathered, stale,
-                             len(project.files), len(rules), args.strict,
-                             budget_stale=budget_stale)
+                             len(project.files), len(rules), args.strict)
 
 
 if __name__ == "__main__":
